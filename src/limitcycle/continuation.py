@@ -9,14 +9,18 @@ bifurcation diagram plots against the parameter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .solver import NewtonConfig, SolveResult, newton_solve
-from .spectral import NodeGrid, trig_interpolate
+from .spectral import (
+    NodeGrid,
+    apply_derivative,
+    diff_matrix_equispaced,
+    trig_interpolate,
+)
 from .system import CollocationProblem
 
 __all__ = [
@@ -146,25 +150,9 @@ def sweep(
     return Branch(tuple(points), provenance, "completed")
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_refine(f, lo: float, hi: float, sign: float, tol: float = 1e-10):
-    """Golden-section maximization of sign*f on [lo, hi]; returns f-value."""
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc = sign * f(c)
-    fd = sign * f(d)
-    while (hi - lo) > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = sign * f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = sign * f(d)
-    return sign * max(fc, fd, sign * f(0.5 * (lo + hi)))
+# Newton converges quadratically from within one sample spacing of an
+# extremum; two steps already reach rounding on resolved interpolants
+_NEWTON_STEPS = 4
 
 
 def extract_extrema(
@@ -175,9 +163,12 @@ def extract_extrema(
 ) -> tuple[float, float]:
     """Per-cycle (max, min) of one component of a collocation solution.
 
-    Samples the trigonometric interpolant on oversample*N equispaced
-    phases, then sharpens the discrete extrema with golden-section
-    search to a phase tolerance of 1e-10.
+    Samples the trigonometric interpolant p on oversample*N equispaced
+    phases by zero-padded FFT, then sharpens the two discrete extrema
+    with a few Newton steps on p' = 0.  p' and p'' are the interpolants
+    of D x and D^2 x, both trigonometric polynomials of the same degree
+    as p; each step stays within one sample spacing of the sampled
+    extremum and is taken only where p'' has the extremum's curvature.
     """
     if oversample < 4:
         raise ValueError("oversample must be at least 4")
@@ -192,22 +183,35 @@ def extract_extrema(
         raise ValueError(f"component {component} out of range for {m} states")
     vals = X[component * N:(component + 1) * N]
 
+    # dense phase i is -pi + 2*pi*i/M, so node j sits at i = oversample*j
+    # (mod M) and the node at pi leads the FFT's input; anchoring at
+    # vals[0] keeps constant data bitwise intact
     M = oversample * N
     ts = -np.pi + 2.0 * np.pi * np.arange(M) / M
-    dense = trig_interpolate(grid, vals, ts)
+    shifted = np.roll(vals - vals[0], 1)
+    dense = np.fft.irfft(np.fft.rfft(shifted), M) * (M / N) + vals[0]
 
-    def f(t: float) -> float:
-        return trig_interpolate(grid, vals, t)
-
-    half = 2.0 * np.pi / M
-    i_max = int(np.argmax(dense))
-    i_min = int(np.argmin(dense))
-    refined_max = _golden_refine(f, ts[i_max] - half, ts[i_max] + half, 1.0)
-    refined_min = _golden_refine(f, ts[i_min] - half, ts[i_min] + half, -1.0)
+    D = diff_matrix_equispaced(N)
+    d1 = apply_derivative(D, vals)
+    d2 = apply_derivative(D, d1)
+    i_ext = np.array([np.argmax(dense), np.argmin(dense)])
+    sign = np.array([1.0, -1.0])
+    t0 = ts[i_ext]
+    spacing = 2.0 * np.pi / M
+    t = t0
+    for _ in range(_NEWTON_STEPS):
+        p1 = trig_interpolate(grid, d1, t)
+        p2 = trig_interpolate(grid, d2, t)
+        curved = sign * p2 < 0.0
+        if not curved.any():
+            break
+        step = np.where(curved, -p1 / np.where(curved, p2, 1.0), 0.0)
+        t = np.clip(t + step, t0 - spacing, t0 + spacing)
+    refined = trig_interpolate(grid, vals, t)
     # the sampled value is a lower bound on the max (upper on the min)
     return (
-        float(max(refined_max, dense[i_max])),
-        float(min(refined_min, dense[i_min])),
+        float(max(refined[0], dense[i_ext[0]])),
+        float(min(refined[1], dense[i_ext[1]])),
     )
 
 

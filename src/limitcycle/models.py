@@ -194,7 +194,8 @@ def diode_voltage(x1: float, x3: float, vs: float, p: CircuitParams,
                   v0: float = 0.0) -> float:
     """Solve g(V_d) = 0 by safeguarded Newton (bisection fallback).
 
-    Iterates until |g| <= 1e-13 * (R1+R2) * max(1, |Vs|).  ``v0`` is an
+    Iterates until |g| <= 1e-13 * (R1+R2) * max(1, |Vs|), or until the
+    root's bracket has closed to adjacent floats.  ``v0`` is an
     optional warm start; when it is not usable an analytic start is
     derived from the i_s -> 0 limit V_lin = (Vs - x1) + R2*x3 (the root
     itself for a blocking diode, a log-capped value for a conducting
@@ -235,6 +236,10 @@ def diode_voltage(x1: float, x3: float, vs: float, p: CircuitParams,
             cand = 0.5 * (lo + hi)
         if not (lo < cand < hi):
             cand = 0.5 * (lo + hi)
+            if not (lo < cand < hi):
+                # lo and hi are adjacent floats: for large states g's
+                # rounding floor lies above tol, and x is as close as it gets
+                return x
         x = cand
         g, dg = geval(x)
     raise RuntimeError(

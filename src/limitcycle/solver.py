@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-from .system import CollocationProblem, jacobian, residual, rhs_stack
+from .system import (
+    CollocationProblem,
+    RhsEvaluationError,
+    jacobian,
+    residual,
+    residual_from_rhs,
+    rhs_stack,
+)
 
 __all__ = ["NewtonConfig", "SolveResult", "SingularJacobianError", "newton_solve"]
 
@@ -61,19 +68,22 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray,
     """Drive the collocation residual of ``problem`` to zero from X0.
 
     Non-convergence is an outcome (``converged=False``), not an
-    exception; only a numerically singular Jacobian raises.
+    exception; only a numerically singular Jacobian raises, or an
+    RhsEvaluationError at X0 or at an accepted iterate.  A line-search
+    trial where f cannot be evaluated counts as rejected.
     """
     X = np.asarray(X0, dtype=float).copy()
     if X.shape != (problem.size,):
         raise ValueError(
             f"initial state has shape {X.shape}, expected ({problem.size},)"
         )
+    F = rhs_stack(problem, X)
     if config.tol_residual is not None:
         tol = config.tol_residual
     else:
-        tol = 1e-10 * (1.0 + float(np.max(np.abs(rhs_stack(problem, X)))))
+        tol = 1e-10 * (1.0 + float(np.max(np.abs(F))))
 
-    R = residual(problem, X)
+    R = residual_from_rhs(problem, X, F)
     norm = float(np.max(np.abs(R)))
     best_X, best_norm = X.copy(), norm
     history: list[tuple[int, float, float]] = []
@@ -100,8 +110,14 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray,
         accepted = False
         while lam >= config.min_step_fraction:
             X_trial = X + lam * delta
-            R_trial = residual(problem, X_trial)
-            norm_trial = float(np.max(np.abs(R_trial)))
+            try:
+                R_trial = residual(problem, X_trial)
+            except RhsEvaluationError:
+                # a trial outside f's domain is rejected like one that
+                # fails to decrease the residual
+                norm_trial = np.inf
+            else:
+                norm_trial = float(np.max(np.abs(R_trial)))
             if norm_trial < norm:
                 accepted = True
                 break

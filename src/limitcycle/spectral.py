@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,12 +115,17 @@ def equispaced_nodes(N: int) -> NodeGrid:
                     max_exact_degree=(N - 1) // 2)
 
 
+@lru_cache(maxsize=4)
 def diff_matrix_equispaced(N: int) -> DiffMatrix:
     """Closed-form trigonometric differentiation matrix on the equispaced grid.
 
     Off-diagonal entries are ``(-1)**(j + k) / (2 * sin(pi * (j - k) / N))``
     and the diagonal is zero.  The matrix is antisymmetric by construction
     (entries for j-k and k-j are built from exactly negated angles).
+
+    The result is cached for the last few N: a continuation sweep builds
+    a problem per parameter value on the same grid, and the matrix and its
+    grid are read-only, so every caller can share one instance.
     """
     grid = equispaced_nodes(N)
     idx = np.arange(N)

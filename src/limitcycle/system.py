@@ -37,6 +37,7 @@ __all__ = [
     "flatten",
     "unflatten",
     "residual",
+    "residual_from_rhs",
     "rhs_stack",
     "jacobian",
     "node_derivatives",
@@ -217,9 +218,18 @@ def _derivative_table(problem: CollocationProblem, table: np.ndarray) -> np.ndar
 
 def residual(problem: CollocationProblem, X: np.ndarray) -> np.ndarray:
     """Collocation residual R(X) = omega_eff * (I kron D) X - F(X)."""
-    table = unflatten(X, problem.system.dim, problem.grid.size)
-    F = _eval_rhs_table(problem, table)
-    R = problem.omega_eff * _derivative_table(problem, table) - F
+    return residual_from_rhs(problem, X, rhs_stack(problem, X))
+
+
+def residual_from_rhs(problem: CollocationProblem, X: np.ndarray,
+                      F: np.ndarray) -> np.ndarray:
+    """The residual at X from its rhs stack F = rhs_stack(problem, X).
+
+    Bitwise equal to ``residual(problem, X)``, without evaluating f again.
+    """
+    m, N = problem.system.dim, problem.grid.size
+    table = unflatten(X, m, N)
+    R = problem.omega_eff * _derivative_table(problem, table) - unflatten(F, m, N)
     return R.reshape(-1)
 
 

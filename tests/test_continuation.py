@@ -171,6 +171,30 @@ class TestExtractExtrema:
         assert abs(hi - 2.0) <= 1e-9
         assert abs(lo + 1.125) <= 1e-9
 
+    def test_two_mode_maximum_fine_grid(self):
+        grid = equispaced_nodes(101)
+        x = np.cos(grid.nodes) + np.cos(2.0 * grid.nodes)
+        hi, lo = extract_extrema(grid, x, 0)
+        assert abs(hi - 2.0) <= 1e-12
+        assert abs(lo + 1.125) <= 1e-12
+
+    @given(
+        N=st.sampled_from([11, 21, 101]),
+        k_frac=st.floats(0.0, 1.0),
+        c=st.floats(-10.0, 10.0),
+        a=st.floats(-10.0, 10.0),
+        phi=st.floats(-np.pi, np.pi),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_single_mode_extrema(self, N, k_frac, c, a, phi):
+        k = 1 + int(k_frac * ((N - 1) // 2 - 1))
+        grid = equispaced_nodes(N)
+        x = c + a * np.cos(k * (grid.nodes - phi))
+        hi, lo = extract_extrema(grid, x, 0)
+        tol = 1e-12 * (1.0 + abs(c) + abs(a))
+        assert abs(hi - (c + abs(a))) <= tol
+        assert abs(lo - (c - abs(a))) <= tol
+
     def test_component_selection_in_stacked_state(self):
         grid = equispaced_nodes(11)
         X = flatten(np.vstack([np.sin(grid.nodes), np.full(11, 5.0)]))

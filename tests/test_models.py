@@ -129,6 +129,24 @@ class TestDiode:
         hi = diode_residual(vd, 1.0, 0.5, 5.6, p)
         assert lo < hi
 
+    def test_large_state_stops_on_closed_bracket(self):
+        # g's rounding floor here (R1 * ulp(1.7e5) ~ 4e-13) lies above the
+        # stop tolerance 1e-13 * (R1+R2) * |Vs| ~ 9e-14
+        p = CircuitParams()
+        x1, x3, vs = 357229.2895600515, 1258344.163007977, -5.6
+        vd = diode_voltage(x1, x3, vs, p)
+        scale = (p.R1 + p.R2) * (abs(vs) + abs(x1) + p.R2 * abs(x3))
+        assert abs(diode_residual(vd, x1, x3, vs, p)) <= 1e-13 * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(x1=st.floats(-1e7, 1e7), x3=st.floats(-1e7, 1e7),
+           vs=st.sampled_from([-5.6, 0.0, 5.6]))
+    def test_large_states_solve_to_their_terms_scale(self, x1, x3, vs):
+        p = CircuitParams()
+        vd = diode_voltage(x1, x3, vs, p)
+        scale = (p.R1 + p.R2) * max(1.0, abs(vs) + abs(x1) + p.R2 * abs(x3))
+        assert abs(diode_residual(vd, x1, x3, vs, p)) <= 1e-13 * scale
+
     def test_warm_start_agrees_with_cold_start(self):
         p = CircuitParams()
         cold = diode_voltage(4.0, 1.2, 5.6, p)

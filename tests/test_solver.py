@@ -11,6 +11,7 @@ from limitcycle.solver import (
 from limitcycle.system import (
     CollocationProblem,
     PeriodicSystem,
+    RhsEvaluationError,
     flatten,
     residual,
 )
@@ -140,3 +141,42 @@ class TestFailureModes:
         r = newton_solve(prob, np.zeros(5), NewtonConfig(tol_residual=1e-3))
         assert r.tol == 1e-3
         assert r.converged
+
+
+def _bounded_arctan(limit):
+    # x' = -atan(x): on constant states Newton is the scalar iteration
+    # x - atan(x) * (1 + x^2), which from 1.5 overshoots to -1.69; the rhs
+    # refuses states beyond `limit`
+    def rhs(x, t, p):
+        if abs(x[0]) > limit:
+            raise ValueError(f"state {x[0]} outside the model's domain")
+        return np.array([-np.arctan(x[0])])
+
+    return PeriodicSystem(dim=1, rhs=rhs,
+                          jac=lambda x, t, p: np.array([[-1.0 / (1.0 + x[0] ** 2)]]),
+                          omega=1.0)
+
+
+class TestFailedTrials:
+    def test_trial_outside_domain_halves_the_step(self):
+        prob = CollocationProblem.build(_bounded_arctan(1.6), 11)
+        r = newton_solve(prob, np.full(11, 1.5))
+        assert r.converged
+        assert r.step_history[0][2] == 0.5
+        np.testing.assert_allclose(r.X, 0.0, rtol=0, atol=1e-9)
+
+    def test_failure_at_initial_state_propagates(self):
+        prob = CollocationProblem.build(_bounded_arctan(1.6), 11)
+        with pytest.raises(RhsEvaluationError):
+            newton_solve(prob, np.full(11, 2.0))
+
+
+@pytest.mark.parametrize("subharmonic", [1, 2])
+def test_initial_norm_is_the_residual_at_the_guess(subharmonic):
+    # the first residual is formed from the tolerance's rhs stack
+    prob = CollocationProblem.build(
+        pendulum_system(PendulumParams(a=0.1, b=181.0, omega=17.5),
+                        subharmonic), 21)
+    X0 = guess_near_pi(21, 0.8, omega=17.5)
+    r = newton_solve(prob, X0, NewtonConfig(max_iterations=0))
+    assert r.residual_norm == np.max(np.abs(residual(prob, X0)))

@@ -75,6 +75,14 @@ class TestEquispacedMatrix:
         with pytest.raises(ValueError, match="odd"):
             diff_matrix_equispaced(8)
 
+    def test_repeated_calls_share_read_only_entries(self):
+        first = diff_matrix_equispaced(21).entries
+        second = diff_matrix_equispaced(21).entries
+        assert np.array_equal(first, second)
+        assert not second.flags.writeable
+        with pytest.raises(ValueError):
+            second[0, 1] = 0.0
+
 
 class TestTauWeights:
     def test_three_point_equispaced(self):
