@@ -88,16 +88,29 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
+def _parse_number(text: str, cast, what: str):
+    """cast(text), or a usage error naming the malformed value."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise _UsageError(f"{what} {text!r} is not a valid number")
+
+
+def _transient_config(cycles: int, steps: int, x0: np.ndarray) -> TransientConfig:
+    try:
+        return TransientConfig(cycles=cycles, steps_per_cycle=steps,
+                               initial_state=x0)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
+
+
 def _parse_param_items(items) -> dict:
     out = {}
     for item in items:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise _UsageError(f"parameter override {item!r} is not NAME=VALUE")
-        try:
-            out[name] = float(value)
-        except ValueError:
-            raise _UsageError(f"parameter {name!r} has non-numeric value {value!r}")
+        out[name] = _parse_number(value, float, f"parameter {name!r}")
     return out
 
 
@@ -134,10 +147,7 @@ def _resolve_config(args) -> RunConfig:
         if flag is not None:
             return flag
         if key in file_run:
-            try:
-                return cast(file_run[key])
-            except ValueError:
-                raise _UsageError(f"config value {key}={file_run[key]!r} is invalid")
+            return _parse_number(file_run[key], cast, f"config value {key}")
         return default
 
     N = _pick(args.N, "n", int, 0)
@@ -166,14 +176,14 @@ def _instantiate(cfg: RunConfig):
             f"model {cfg.model!r} has no parameter(s) {', '.join(unknown)}"
         )
     params = cls(**cfg.params)
-    if cfg.model == "pendulum":
-        system = pendulum_system(params, subharmonic=cfg.subharmonic)
-    elif cfg.model == "linear":
-        system = linear_system(params)
-    else:
-        system = circuit_system(params)
-    if cfg.model != "pendulum" and cfg.subharmonic != 1:
-        system = dataclasses.replace(system, subharmonic=cfg.subharmonic)
+    # looked up per call, so that a replaced module-level factory applies
+    factories = {
+        "pendulum": pendulum_system,
+        "linear": linear_system,
+        "circuit": circuit_system,
+    }
+    system = dataclasses.replace(factories[cfg.model](params),
+                                 subharmonic=cfg.subharmonic)
     try:
         problem = CollocationProblem.build(system, cfg.N)
     except ValueError as exc:
@@ -197,17 +207,20 @@ def _read_solution(path: str):
                     if sep:
                         header[key.strip()] = value.strip()
                 else:
-                    rows.append([float(tok) for tok in line.split(",")])
+                    rows.append([_parse_number(tok, float, "data value")
+                                 for tok in line.split(",")])
     except OSError as exc:
         raise _UsageError(f"cannot read solution file {path!r}: {exc}")
     if not rows:
         raise _UsageError(f"solution file {path!r} has no data rows")
+    if len({len(row) for row in rows}) != 1:
+        raise _UsageError(f"solution file {path!r} has rows of unequal length")
     return header, np.array(rows, dtype=float)
 
 
 def _guess_from_file(path: str, m: int, N: int) -> np.ndarray:
     header, data = _read_solution(path)
-    if "N" in header and int(header["N"]) != N:
+    if "N" in header and _parse_number(header["N"], int, "header N") != N:
         raise _UsageError(
             f"solution file has N={header['N']}, run expects N={N}"
         )
@@ -227,7 +240,7 @@ def _initial_guess(cfg: RunConfig, system, problem) -> np.ndarray:
     kind, _, rest = cfg.guess.partition(":")
     m, N = system.dim, cfg.N
     if kind == "constant":
-        value = float(rest) if rest else 0.0
+        value = _parse_number(rest, float, "constant guess") if rest else 0.0
         table = np.zeros((m, N))
         table[0] = value
         return flatten(table)
@@ -241,14 +254,17 @@ def _initial_guess(cfg: RunConfig, system, problem) -> np.ndarray:
         if not rest:
             raise _UsageError("sin guess needs a deviation size, e.g. sin:0.8")
         parts = rest.split(",")
-        eps = float(parts[0])
-        harmonic = int(parts[1]) if len(parts) > 1 else 1
-        return guess_near_pi(N, eps, harmonic, system.omega, system.subharmonic)
+        eps = _parse_number(parts[0], float, "sin guess size")
+        harmonic = (_parse_number(parts[1], int, "sin guess harmonic")
+                    if len(parts) > 1 else 1)
+        try:
+            return guess_near_pi(N, eps, harmonic, system.omega,
+                                 system.subharmonic)
+        except ValueError as exc:
+            raise _UsageError(str(exc))
     if kind == "rk4":
-        cycles = int(rest) if rest else 20
-        steps = max(8 * N, 2500)
-        tcfg = TransientConfig(cycles=cycles, steps_per_cycle=steps,
-                               initial_state=np.zeros(m))
+        cycles = _parse_number(rest, int, "rk4 guess cycles") if rest else 20
+        tcfg = _transient_config(cycles, max(8 * N, 2500), np.zeros(m))
         res = rk4_transient(system, tcfg, grid=problem.grid)
         return res.node_state
     if kind == "file":
@@ -368,7 +384,10 @@ def cmd_sweep(args) -> int:
     grid = problem.grid
     values = np.empty((6, len(branch.points)))
     for i, (p, result) in enumerate(branch.points):
-        hi, lo = extract_extrema(grid, result.X, component, args.oversample)
+        try:
+            hi, lo = extract_extrema(grid, result.X, component, args.oversample)
+        except ValueError as exc:
+            raise _UsageError(str(exc))
         values[:, i] = (p, component, hi, lo, result.iterations,
                         1.0 if result.converged else 0.0)
     extra = [f"sweep={args.sweep}", f"component={component}",
@@ -389,21 +408,24 @@ def cmd_interp(args) -> int:
     for key in ("N", "columns"):
         if key not in header:
             raise _UsageError(f"solution file lacks the {key} header field")
-    N = int(header["N"])
+    N = _parse_number(header["N"], int, "header N")
     columns = header["columns"].split(",")
     if data.shape[1] != len(columns) or data.shape[0] != N:
         raise _UsageError("solution file data does not match its header")
     M = args.points if args.points is not None else 8 * N
     if M < 1:
         raise _UsageError("points must be a positive integer")
-    grid = equispaced_nodes(N)
+    try:
+        grid = equispaced_nodes(N)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
     if not np.array_equal(data[:, 0], grid.nodes):
         raise _UsageError("solution file phases are not the equispaced nodes")
 
     # the grid's own construction, so M=N reproduces the node set bitwise
     ts = equispaced_phases(M)
-    omega = float(header.get("omega", "0") or 0.0)
-    s = int(header.get("subharmonic", "1"))
+    omega = _parse_number(header.get("omega", "0") or "0", float, "header omega")
+    s = _parse_number(header.get("subharmonic", "1"), int, "header subharmonic")
     out_names = []
     out_cols = []
     for j, name in enumerate(columns):
@@ -434,16 +456,15 @@ def cmd_simulate(args) -> int:
         2500 if cfg.model == "circuit" else 256
     )
     if args.initial is not None:
-        x0 = np.array([float(tok) for tok in args.initial.split(",")])
+        x0 = np.array([_parse_number(tok, float, "initial state value")
+                       for tok in args.initial.split(",")])
         if x0.shape != (system.dim,):
             raise _UsageError(
                 f"initial state needs {system.dim} comma-separated values"
             )
     else:
         x0 = np.zeros(system.dim)
-    tcfg = TransientConfig(cycles=cycles, steps_per_cycle=steps,
-                           initial_state=x0)
-    res = rk4_transient(system, tcfg)
+    res = rk4_transient(system, _transient_config(cycles, steps, x0))
     names = ["tau"] + [f"x{k + 1}" for k in range(system.dim)]
     cols = [res.times] + [res.states[k] for k in range(system.dim)]
     if cfg.model == "circuit":

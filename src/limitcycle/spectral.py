@@ -6,16 +6,13 @@ number N of collocation nodes.  On the equispaced grid
     t_j = -pi + 2*pi*j/N,   j = 1, ..., N,
 
 the derivative of the degree-(N-1)/2 trigonometric interpolant, sampled
-back at the nodes, is a dense matrix-vector product ``D @ x``.  ``D`` is
-available in two constructions: a closed form valid only on the
-equispaced grid, and a product-formula version valid on any set of
-distinct nodes.  Both are exact (up to rounding) on trigonometric
-polynomials of degree at most (N-1)/2.
+back at the nodes, is a dense matrix-vector product ``D @ x`` with ``D``
+in closed form, exact (up to rounding) on trigonometric polynomials of
+degree at most (N-1)/2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -24,19 +21,12 @@ import numpy as np
 __all__ = [
     "NodeGrid",
     "DiffMatrix",
-    "DegenerateGridError",
     "equispaced_phases",
     "equispaced_nodes",
     "diff_matrix_equispaced",
-    "diff_matrix_general",
-    "tau_weights",
     "apply_derivative",
     "trig_interpolate",
 ]
-
-
-class DegenerateGridError(ValueError):
-    """Raised when two collocation nodes coincide (modulo 2*pi)."""
 
 
 @dataclass(frozen=True)
@@ -65,22 +55,13 @@ class NodeGrid:
 
 @dataclass(frozen=True)
 class DiffMatrix:
-    """Dense spectral differentiation matrix tied to the nodes it was built on.
+    """Dense spectral differentiation matrix tied to the grid it was built on."""
 
-    ``kind`` records the construction: "equispaced" for the closed form,
-    "general" for the product formula.  ``grid`` is the NodeGrid when the
-    matrix was built on one, None when built from a bare node array.
-    """
-
-    order: int
     entries: np.ndarray = field(repr=False)
-    kind: str
-    nodes: np.ndarray = field(repr=False)
-    grid: NodeGrid | None = None
+    grid: NodeGrid
 
     def __post_init__(self):
         self.entries.setflags(write=False)
-        self.nodes.setflags(write=False)
 
 
 def equispaced_phases(M: int) -> np.ndarray:
@@ -135,131 +116,30 @@ def diff_matrix_equispaced(N: int) -> DiffMatrix:
     with np.errstate(divide="ignore"):
         entries = sign / (2.0 * np.sin(angle))
     np.fill_diagonal(entries, 0.0)
-    return DiffMatrix(order=N, entries=entries, kind="equispaced",
-                      nodes=grid.nodes, grid=grid)
-
-
-def _as_nodes(grid_or_nodes) -> tuple[np.ndarray, NodeGrid | None]:
-    if isinstance(grid_or_nodes, NodeGrid):
-        return grid_or_nodes.nodes, grid_or_nodes
-    nodes = np.asarray(grid_or_nodes, dtype=float)
-    if nodes.ndim != 1 or nodes.size == 0:
-        raise ValueError("nodes must be a nonempty 1-d array of phases")
-    return nodes, None
-
-
-def _pairwise_prod(factors: np.ndarray) -> np.ndarray:
-    """Row products by pairwise reduction.
-
-    A sequential product over hundreds of factors accumulates rounding
-    linearly in the count; folding adjacent pairs keeps the growth
-    logarithmic, which matters for the tau ratios on fine grids.
-    """
-    arr = np.asarray(factors, dtype=float)
-    n = arr.shape[-1]
-    size = 1
-    while size < n:
-        size *= 2
-    if size != n:
-        pad = np.ones(arr.shape[:-1] + (size - n,))
-        arr = np.concatenate([arr, pad], axis=-1)
-    while arr.shape[-1] > 1:
-        arr = arr[..., 0::2] * arr[..., 1::2]
-    return arr[..., 0]
-
-
-def _half_phase_diffs(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Half phase differences ``(t_j - t_l) / 2`` plus a sine sign matrix.
-
-    Returns ``(half, sign)`` with ``sin((t_j - t_l)/2) = sign * sin(half)``
-    and ``cos((t_j - t_l)/2) = sign * cos(half)``.  Nodes on the canonical
-    equispaced pattern ``-pi + 2*pi*j/N`` get their differences formed from
-    the index offsets, reduced by ``sin(x + m*pi) = (-1)^m sin(x)`` so every
-    argument stays below pi/2.  Differences of the rounded node values carry
-    an absolute error near one ulp of pi, which the 1/sin factors of the
-    differentiation matrix amplify by N/pi; the reduced index form keeps
-    each argument accurate relative to its own size instead.
-    """
-    N = nodes.size
-    j = np.arange(1, N + 1)
-    ideal = -np.pi + 2.0 * np.pi * j / N
-    if np.max(np.abs(nodes - ideal)) <= 1e-14:
-        offsets = j[:, None] - j[None, :]
-        half_turns = (N - 1) // 2
-        reduced = (offsets + half_turns) % N - half_turns
-        wraps = (offsets - reduced) // N
-        sign = np.where(wraps % 2 == 0, 1.0, -1.0)
-        return np.pi * reduced / N, sign
-    return 0.5 * (nodes[:, None] - nodes[None, :]), np.ones((N, N))
-
-
-def tau_weights(grid_or_nodes) -> np.ndarray:
-    """Half-products ``tau_j = 0.5 * prod_{l != j} sin((t_j - t_l) / 2)``.
-
-    These are the factors that survive applying the product rule to the
-    periodic node polynomial; the general differentiation matrix needs
-    their ratios.  A single node gives the empty product, tau = 1/2.
-    """
-    nodes, _ = _as_nodes(grid_or_nodes)
-    N = nodes.size
-    wrapped = np.mod(nodes, 2.0 * np.pi)
-    if np.unique(wrapped).size != N:
-        raise DegenerateGridError("coincident nodes (duplicate modulo 2*pi)")
-    half_diff, sign = _half_phase_diffs(nodes)
-    s = sign * np.sin(half_diff)
-    off = ~np.eye(N, dtype=bool)
-    if np.any(s[off] == 0.0):
-        raise DegenerateGridError("coincident nodes (duplicate modulo 2*pi)")
-    np.fill_diagonal(s, 1.0)
-    return 0.5 * _pairwise_prod(s)
-
-
-def diff_matrix_general(grid_or_nodes) -> DiffMatrix:
-    """Differentiation matrix on arbitrary distinct periodic nodes.
-
-    Diagonal entries are ``0.5 * sum_{l != j} cot((t_j - t_l) / 2)``;
-    off-diagonal entries are ``(tau_j / (2 * tau_k)) * csc((t_j - t_k) / 2)``
-    with the tau half-products from :func:`tau_weights`.  On the equispaced
-    grid this reproduces :func:`diff_matrix_equispaced` to rounding.
-    """
-    nodes, grid = _as_nodes(grid_or_nodes)
-    N = nodes.size
-    if N % 2 == 0:
-        raise ValueError(
-            f"the periodic grid needs an odd number N of points, got N={N}"
-        )
-    tau = tau_weights(nodes)
-    half_diff, sign = _half_phase_diffs(nodes)
-    s = sign * np.sin(half_diff)
-    np.fill_diagonal(s, 1.0)
-    with np.errstate(divide="ignore"):
-        entries = (tau[:, None] / (2.0 * tau[None, :])) / s
-    c = sign * np.cos(half_diff) / s
-    np.fill_diagonal(c, 0.0)
-    np.fill_diagonal(entries, 0.5 * np.sum(c, axis=1))
-    return DiffMatrix(order=N, entries=entries, kind="general",
-                      nodes=nodes.copy(), grid=grid)
+    return DiffMatrix(entries=entries, grid=grid)
 
 
 def apply_derivative(D: DiffMatrix, x: np.ndarray, k: int = 1) -> np.ndarray:
     """Apply the differentiation matrix k times to nodal values x.
 
-    k = 0 returns a copy of x.  Each application evaluates
-    ``D @ (x - x[0])``: since D annihilates constants this equals
-    ``D @ x`` analytically, and it keeps constant vectors exactly in the
-    kernel in floating point as well (row sums of D only cancel to
-    rounding).
+    x holds nodal values along its last axis, shape (..., N); every
+    leading index is one independent vector.  k = 0 returns a copy of x.
+    Each application evaluates ``(x - x[..., :1]) @ D.T``: since D
+    annihilates constants this equals ``x @ D.T`` analytically, and it
+    keeps constant vectors exactly in the kernel in floating point as
+    well (row sums of D only cancel to rounding).
     """
     if k < 0:
         raise ValueError(f"derivative order must be >= 0, got {k}")
     x = np.asarray(x, dtype=float)
-    if x.shape != (D.order,):
+    N = D.grid.size
+    if x.ndim == 0 or x.shape[-1] != N:
         raise ValueError(
-            f"value vector has shape {x.shape}, expected ({D.order},)"
+            f"value array has shape {x.shape}, expected (..., {N})"
         )
     out = x.copy()
     for _ in range(k):
-        out = D.entries @ (out - out[0])
+        out = (out - out[..., :1]) @ D.entries.T
     return out
 
 

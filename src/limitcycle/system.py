@@ -28,7 +28,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .spectral import DiffMatrix, NodeGrid, diff_matrix_equispaced
+from .spectral import DiffMatrix, NodeGrid, apply_derivative, diff_matrix_equispaced
 
 __all__ = [
     "PeriodicSystem",
@@ -209,13 +209,6 @@ def rhs_stack(problem: CollocationProblem, X: np.ndarray) -> np.ndarray:
     return _eval_rhs_table(problem, table).reshape(-1)
 
 
-def _derivative_table(problem: CollocationProblem, table: np.ndarray) -> np.ndarray:
-    # Anchored product D @ (x - x[0]) per component: identical to D @ x
-    # analytically, and constant components stay exactly in the kernel.
-    shifted = table - table[:, :1]
-    return shifted @ problem.D.entries.T
-
-
 def residual(problem: CollocationProblem, X: np.ndarray) -> np.ndarray:
     """Collocation residual R(X) = omega_eff * (I kron D) X - F(X)."""
     return residual_from_rhs(problem, X, rhs_stack(problem, X))
@@ -229,7 +222,7 @@ def residual_from_rhs(problem: CollocationProblem, X: np.ndarray,
     """
     m, N = problem.system.dim, problem.grid.size
     table = unflatten(X, m, N)
-    R = problem.omega_eff * _derivative_table(problem, table) - unflatten(F, m, N)
+    R = problem.omega_eff * apply_derivative(problem.D, table) - unflatten(F, m, N)
     return R.reshape(-1)
 
 
@@ -243,7 +236,7 @@ def node_derivatives(problem: CollocationProblem, X: np.ndarray) -> np.ndarray:
     """
     system = problem.system
     table = unflatten(X, system.dim, problem.grid.size)
-    dots = problem.omega_eff * _derivative_table(problem, table)
+    dots = problem.omega_eff * apply_derivative(problem.D, table)
     for j in problem.jump_nodes:
         dots[:, j] = system.rhs(table[:, j], problem.forcing_phases[j], system.params)
     return dots

@@ -88,6 +88,14 @@ class TestSolve:
         assert main(["solve", "--model", "linear", "--N", "3",
                      "--guess", "bogus:1"]) == 2
         assert main(["solve", "--N", "3"]) == 2
+        bad_row = tmp_path / "bad_row.csv"
+        bad_row.write_text("# N=3\n# columns=phase,tau,x1\n"
+                           "1,2,3\nabc,2,3\n1,2,3\n")
+        for guess in ("constant:abc", "sin:x", "sin:0.8,y", "sin:0.8,0",
+                      "rk4:x", "rk4:0", f"file:{bad_row}"):
+            model = "pendulum" if guess.startswith("sin") else "linear"
+            assert main(["solve", "--model", model, "--N", "3",
+                         "--guess", guess]) == 2, guess
 
 
 class TestSweep:
@@ -120,6 +128,7 @@ class TestSweep:
         assert main(base + ["--sweep", "p=0:1"]) == 2
         assert main(base + ["--sweep", "q=0:1:0.5"]) == 2
         assert main(base + ["--sweep", "p=0:1:0.5", "--component", "3"]) == 2
+        assert main(base + ["--sweep", "p=0:1:0.5", "--oversample", "2"]) == 2
 
 
 class TestInterp:
@@ -150,6 +159,10 @@ class TestInterp:
 
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["interp", "--input", str(tmp_path / "nope.csv")]) == 2
+        bad_row = tmp_path / "bad_row.csv"
+        bad_row.write_text("# N=3\n# columns=phase,tau,x1\n"
+                           "1,2,3\nabc,2,3\n1,2,3\n")
+        assert main(["interp", "--input", str(bad_row)]) == 2
 
 
 class TestSimulate:
@@ -167,6 +180,9 @@ class TestSimulate:
         rc = main(["simulate", "--model", "pendulum", "--N", "3",
                    "--cycles", "1", "--steps", "16", "--initial", "1.0"])
         assert rc == 2
+        base = ["simulate", "--model", "linear", "--N", "3"]
+        assert main(base + ["--initial", "a"]) == 2
+        assert main(base + ["--cycles", "0"]) == 2
 
 
 class TestMatrix:

@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitcycle.spectral import (
-    DegenerateGridError,
     apply_derivative,
     diff_matrix_equispaced,
-    diff_matrix_general,
     equispaced_nodes,
-    tau_weights,
     trig_interpolate,
 )
 
@@ -75,6 +72,15 @@ class TestEquispacedMatrix:
         with pytest.raises(ValueError, match="odd"):
             diff_matrix_equispaced(8)
 
+    @pytest.mark.parametrize("N", [3, 7, 21, 101])
+    def test_matches_fft_construction(self, N):
+        # column j differentiates the unit vector e_j through its discrete
+        # Fourier series; N is odd, so there is no Nyquist mode to drop
+        k = np.fft.fftfreq(N, 1.0 / N)[:, None]
+        via_fft = np.real(np.fft.ifft(1j * k * np.fft.fft(np.eye(N), axis=0), axis=0))
+        De = diff_matrix_equispaced(N).entries
+        assert np.max(np.abs(De - via_fft)) <= 1e-12
+
     def test_repeated_calls_share_read_only_entries(self):
         first = diff_matrix_equispaced(21).entries
         second = diff_matrix_equispaced(21).entries
@@ -82,59 +88,6 @@ class TestEquispacedMatrix:
         assert not second.flags.writeable
         with pytest.raises(ValueError):
             second[0, 1] = 0.0
-
-
-class TestTauWeights:
-    def test_three_point_equispaced(self):
-        tau = tau_weights(equispaced_nodes(3))
-        assert tau[0] == pytest.approx(3.0 / 8.0, abs=1e-15)
-
-    def test_single_node_empty_product(self):
-        tau = tau_weights(np.array([np.pi]))
-        assert tau[0] == 0.5
-
-    def test_all_nonzero_on_distinct_nodes(self):
-        tau = tau_weights(np.array([-2.0, 0.5, 3.0]))
-        assert np.all(tau != 0.0)
-
-    def test_duplicate_nodes_rejected(self):
-        with pytest.raises(DegenerateGridError):
-            tau_weights(np.array([0.1, 0.5, 0.1]))
-
-    def test_duplicate_modulo_period_rejected(self):
-        with pytest.raises(DegenerateGridError):
-            tau_weights(np.array([0.5, 0.5 + 2 * np.pi, 1.0]))
-
-
-class TestGeneralMatrix:
-    @pytest.mark.parametrize("N", [3, 7, 21])
-    def test_matches_closed_form_on_equispaced_grid(self, N):
-        De = diff_matrix_equispaced(N).entries
-        Dg = diff_matrix_general(equispaced_nodes(N)).entries
-        assert np.max(np.abs(De - Dg)) <= 1e-12
-
-    def test_annihilates_constants_on_scattered_nodes(self):
-        D = diff_matrix_general(np.array([-2.0, 0.5, 3.0]))
-        assert np.max(np.abs(D.entries @ np.ones(3))) <= 1e-12
-
-    def test_differentiates_sine_on_scattered_nodes(self):
-        nodes = np.array([-2.0, 0.5, 3.0])
-        D = diff_matrix_general(nodes)
-        got = D.entries @ np.sin(nodes)
-        np.testing.assert_allclose(got, np.cos(nodes), rtol=0, atol=1e-10)
-
-    def test_row_sums_vanish_scattered(self):
-        rng = np.random.default_rng(7)
-        nodes = np.sort(rng.uniform(-np.pi, np.pi, size=11))
-        D = diff_matrix_general(nodes)
-        assert np.max(np.abs(D.entries.sum(axis=1))) <= 1e-12 * 11
-
-    def test_records_kind_and_nodes(self):
-        nodes = np.array([-2.0, 0.5, 3.0])
-        D = diff_matrix_general(nodes)
-        assert D.kind == "general"
-        assert D.grid is None
-        np.testing.assert_array_equal(D.nodes, nodes)
 
 
 class TestApplyDerivative:
@@ -160,6 +113,12 @@ class TestApplyDerivative:
         x = rng.standard_normal(9)
         once_twice = apply_derivative(D, apply_derivative(D, x, 1), 1)
         np.testing.assert_array_equal(apply_derivative(D, x, 2), once_twice)
+        # an (m, N) table is differentiated row by row
+        table = rng.standard_normal((3, 9))
+        got = apply_derivative(D, table, 2)
+        for row, row_got in zip(table, got):
+            np.testing.assert_allclose(row_got, apply_derivative(D, row, 2),
+                                       rtol=0, atol=1e-12)
 
     def test_constant_in_kernel_exactly(self):
         D = diff_matrix_equispaced(101)
@@ -175,6 +134,8 @@ class TestApplyDerivative:
         D = diff_matrix_equispaced(3)
         with pytest.raises(ValueError, match="shape"):
             apply_derivative(D, np.zeros(4))
+        with pytest.raises(ValueError, match="shape"):
+            apply_derivative(D, np.zeros((2, 4)))
 
 
 @settings(max_examples=40, deadline=None)
