@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitcycle.spectral import (
+    NodeGrid,
     apply_derivative,
     diff_matrix_equispaced,
     equispaced_nodes,
@@ -72,15 +73,6 @@ class TestEquispacedMatrix:
         with pytest.raises(ValueError, match="odd"):
             diff_matrix_equispaced(8)
 
-    @pytest.mark.parametrize("N", [3, 7, 21, 101])
-    def test_matches_fft_construction(self, N):
-        # column j differentiates the unit vector e_j through its discrete
-        # Fourier series; N is odd, so there is no Nyquist mode to drop
-        k = np.fft.fftfreq(N, 1.0 / N)[:, None]
-        via_fft = np.real(np.fft.ifft(1j * k * np.fft.fft(np.eye(N), axis=0), axis=0))
-        De = diff_matrix_equispaced(N).entries
-        assert np.max(np.abs(De - via_fft)) <= 1e-12
-
     def test_repeated_calls_share_read_only_entries(self):
         first = diff_matrix_equispaced(21).entries
         second = diff_matrix_equispaced(21).entries
@@ -88,6 +80,53 @@ class TestEquispacedMatrix:
         assert not second.flags.writeable
         with pytest.raises(ValueError):
             second[0, 1] = 0.0
+
+
+class TestGeneralMatrix:
+    """The closed form against a construction that does not use it, and the
+    derivative of the interpolant at general (off-grid) phases, as the
+    extrema search evaluates it: D on the grid, then interpolation."""
+
+    @pytest.mark.parametrize("N", [3, 7, 21, 101])
+    def test_matches_closed_form_on_equispaced_grid(self, N):
+        # column j differentiates the unit vector e_j through its discrete
+        # Fourier series; N is odd, so there is no Nyquist mode to drop
+        k = np.fft.fftfreq(N, 1.0 / N)[:, None]
+        via_fft = np.real(np.fft.ifft(1j * k * np.fft.fft(np.eye(N), axis=0), axis=0))
+        De = diff_matrix_equispaced(N).entries
+        assert np.max(np.abs(De - via_fft)) <= 1e-12
+
+    def test_annihilates_constants_on_scattered_nodes(self):
+        D = diff_matrix_equispaced(11)
+        dx = apply_derivative(D, np.full(11, -2.5))
+        got = trig_interpolate(D.grid, dx, np.array([-2.0, 0.5, 3.0]))
+        assert np.max(np.abs(got)) <= 1e-12
+
+    def test_differentiates_sine_on_scattered_nodes(self):
+        # sin t has degree 1, so three nodes represent it exactly
+        D = diff_matrix_equispaced(3)
+        phases = np.array([-2.0, 0.5, 3.0])
+        dx = apply_derivative(D, np.sin(D.grid.nodes))
+        got = trig_interpolate(D.grid, dx, phases)
+        np.testing.assert_allclose(got, np.cos(phases), rtol=0, atol=1e-10)
+
+    def test_row_sums_vanish_scattered(self):
+        # rows of the map from nodal values to derivatives at 11 random phases
+        rng = np.random.default_rng(7)
+        phases = np.sort(rng.uniform(-np.pi, np.pi, size=11))
+        D = diff_matrix_equispaced(11)
+        op = np.column_stack([
+            trig_interpolate(D.grid, apply_derivative(D, e), phases)
+            for e in np.eye(11)
+        ])
+        assert np.max(np.abs(op.sum(axis=1))) <= 1e-12 * 11
+
+    def test_records_kind_and_nodes(self):
+        D = diff_matrix_equispaced(3)
+        assert isinstance(D.grid, NodeGrid)
+        assert D.grid.size == 3
+        assert D.entries.shape == (3, 3)
+        np.testing.assert_array_equal(D.grid.nodes, equispaced_nodes(3).nodes)
 
 
 class TestApplyDerivative:
