@@ -40,9 +40,7 @@ def main() -> None:
           f"iterations={result.iterations} residual={result.residual_norm:.3e}")
 
     table_rk = unflatten(transient.node_state, 3, N)
-    xdot_rk = np.empty((3, N))
-    for j, phase in enumerate(problem.forcing_phases):
-        xdot_rk[:, j] = system.rhs(table_rk[:, j], phase, params)
+    xdot_rk = system.rhs_table(table_rk, problem.forcing_phases, params)
     id_rk, v0_rk = circuit_outputs(table_rk, xdot_rk, params)
 
     table = unflatten(result.X, 3, N)

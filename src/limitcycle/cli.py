@@ -363,6 +363,8 @@ def cmd_sweep(args) -> int:
         raise _UsageError(
             f"component {component} out of range for {system.dim} states"
         )
+    if args.oversample < 4:
+        raise _UsageError("oversample must be at least 4")
 
     def family(p):
         run = dataclasses.replace(cfg, params={**cfg.params, name: p})
@@ -384,10 +386,7 @@ def cmd_sweep(args) -> int:
     grid = problem.grid
     values = np.empty((6, len(branch.points)))
     for i, (p, result) in enumerate(branch.points):
-        try:
-            hi, lo = extract_extrema(grid, result.X, component, args.oversample)
-        except ValueError as exc:
-            raise _UsageError(str(exc))
+        hi, lo = extract_extrema(grid, result.X, component, args.oversample)
         values[:, i] = (p, component, hi, lo, result.iterations,
                         1.0 if result.converged else 0.0)
     extra = [f"sweep={args.sweep}", f"component={component}",
@@ -468,11 +467,8 @@ def cmd_simulate(args) -> int:
     names = ["tau"] + [f"x{k + 1}" for k in range(system.dim)]
     cols = [res.times] + [res.states[k] for k in range(system.dim)]
     if cfg.model == "circuit":
-        n = res.times.size
-        xdot = np.empty((system.dim, n))
-        for i in range(n):
-            phase = _wrap_phase(system.omega * res.times[i])
-            xdot[:, i] = system.rhs(res.states[:, i], phase, system.params)
+        phases = _wrap_phase(system.omega * res.times)
+        xdot = system.rhs_table(res.states, phases, system.params)
         i_d, v_out = circuit_outputs(res.states, xdot, params)
         names += ["i_d", "V0"]
         cols += [i_d, v_out]

@@ -3,7 +3,9 @@ circuit, and a linear model with a known closed-form steady state.
 
 All right-hand sides use the (x, t, params) calling convention of
 :class:`~limitcycle.system.PeriodicSystem`, with t the forcing phase in
-(-pi, pi].
+(-pi, pi].  The pendulum and the circuit also have the table form
+(table (m, K), phases (K,), params) that the collocation layer calls once
+over all nodes; the linear model keeps the per-node loop.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import PeriodicSystem
+from .system import PeriodicSystem, RhsEvaluationError
 
 __all__ = [
     "PendulumParams",
@@ -27,6 +29,7 @@ __all__ = [
     "square_wave",
     "diode_residual",
     "diode_voltage",
+    "diode_voltages",
     "circuit_outputs",
     "BOLTZMANN",
     "ELECTRON_CHARGE",
@@ -90,6 +93,20 @@ def _pendulum_jac(x, t, p):
                      [drive * math.cos(theta - math.pi), -p.a]])
 
 
+def _pendulum_rhs_table(table, t, p):
+    theta, v = table
+    drive = 1.0 + p.b * np.cos(t)
+    return np.array([v, -p.a * v + drive * np.sin(theta - math.pi)])
+
+
+def _pendulum_jac_table(table, t, p):
+    blocks = np.zeros((t.size, 2, 2))
+    blocks[:, 0, 1] = 1.0
+    blocks[:, 1, 0] = (1.0 + p.b * np.cos(t)) * np.cos(table[0] - math.pi)
+    blocks[:, 1, 1] = -p.a
+    return blocks
+
+
 def pendulum_system(p: PendulumParams, subharmonic: int = 1) -> PeriodicSystem:
     """Pendulum with vertically oscillating pivot, first-order form.
 
@@ -97,6 +114,8 @@ def pendulum_system(p: PendulumParams, subharmonic: int = 1) -> PeriodicSystem:
     ``subharmonic=2`` requests period-2 responses (two forcing periods).
     """
     return PeriodicSystem(dim=2, rhs=_pendulum_rhs, jac=_pendulum_jac,
+                          rhs_table=_pendulum_rhs_table,
+                          jac_table=_pendulum_jac_table,
                           omega=p.omega, params=p, subharmonic=subharmonic)
 
 
@@ -247,17 +266,84 @@ def diode_voltage(x1: float, x3: float, vs: float, p: CircuitParams,
     )
 
 
-def _circuit_rhs(x, t, p):
-    x1, x2, x3 = x
-    vs = square_wave(t, p.A_m)
-    vd = diode_voltage(x1, x3, vs, p)
+def diode_voltages(x1: np.ndarray, x3: np.ndarray, vs: np.ndarray,
+                   p: CircuitParams) -> np.ndarray:
+    """:func:`diode_voltage` (cold start) elementwise over arrays.
+
+    The same safeguarded Newton on each element, with bracket arrays and
+    the same two stops: |g| <= 1e-13 * (R1+R2) * max(1, |Vs|), or a
+    bracket closed to adjacent floats.  Converged elements drop out of
+    the iteration.  An element still open after 200 steps raises
+    :class:`~limitcycle.system.RhsEvaluationError` with its index.
+    """
+    r1 = p.R1
+    r2 = p.R2
+    rsum = r1 + r2
+    etavt = p.eta * p.thermal_voltage
+    isr = rsum * p.i_s
+    vs = np.broadcast_to(vs, np.shape(x1))
+    vlin = (vs - x1) + r2 * x3
+    tol = 1e-13 * rsum * np.maximum(1.0, np.abs(vs))
+    cap = etavt * np.log1p(np.maximum(vlin, 0.0) / isr)
+    lo = np.minimum(0.0, vlin) - 1.0
+    hi = np.maximum(np.maximum(0.0, vlin), cap) + 1.0
+    x = np.where(vlin <= 0.0, vlin, cap)
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for _ in range(200):
+            e = np.exp(np.minimum(x / etavt, 700.0))
+            g = r1 * (vlin - x - isr * (e - 1.0))
+            dg = -r1 * (1.0 + isr * e / etavt)
+            up = g > 0.0
+            lo = np.where(up, x, lo)
+            hi = np.where(up, hi, x)
+            mid = 0.5 * (lo + hi)
+            cand = np.where(dg != 0.0, x - g / dg, mid)
+            outside = ~((lo < cand) & (cand < hi))
+            cand = np.where(outside, mid, cand)
+            # lo and hi adjacent floats: x is as close as it gets
+            closed = outside & ~((lo < mid) & (mid < hi))
+            done = (np.abs(g) <= tol) | closed
+            if done.any():
+                out[idx[done]] = x[done]
+                if done.all():
+                    return out
+                keep = ~done
+                idx, cand, g, lo, hi, vlin, tol = (
+                    a[keep] for a in (idx, cand, g, lo, hi, vlin, tol))
+            x = cand
+    raise RhsEvaluationError(
+        int(idx[0]),
+        f"diode voltage iteration stalled at |g|={abs(g[0]):.3e} "
+        f"(tol {tol[0]:.3e})")
+
+
+def _circuit_derivatives(x1, x2, x3, vs, vd, e, p):
+    """(x1', x2', x3') from the source vs, the diode voltage vd and
+    e = exp(vd / (eta * V_T)); scalars or arrays alike."""
     r34 = p.R3 + p.R4
-    e = math.exp(min(vd / (p.eta * p.thermal_voltage), 700.0))
     dx1 = (vs - x1 - p.R1 * x3 - vd) / (p.C1 * (p.R1 + p.R2))
     dx2 = (-x2 + p.R4 * x3) / (p.C2 * r34)
     dx3 = (vs - (p.R4 / r34) * x2 - (p.R3 * p.R4 / r34) * x3 - vd
            - p.i_s * p.R1 * (e - 1.0)) / p.L
-    return np.array([dx1, dx2, dx3])
+    return dx1, dx2, dx3
+
+
+def _circuit_rhs(x, t, p):
+    x1, x2, x3 = x
+    vs = square_wave(t, p.A_m)
+    vd = diode_voltage(x1, x3, vs, p)
+    e = math.exp(min(vd / (p.eta * p.thermal_voltage), 700.0))
+    return np.array(_circuit_derivatives(x1, x2, x3, vs, vd, e, p))
+
+
+def _circuit_rhs_table(table, t, p):
+    x1, x2, x3 = table
+    vs = np.where(t >= 0.0, p.A_m, -p.A_m)
+    vd = diode_voltages(x1, x3, vs, p)
+    e = np.exp(np.minimum(vd / (p.eta * p.thermal_voltage), 700.0))
+    return np.array(_circuit_derivatives(x1, x2, x3, vs, vd, e, p))
 
 
 def circuit_system(p: CircuitParams) -> PeriodicSystem:
@@ -268,8 +354,12 @@ def circuit_system(p: CircuitParams) -> PeriodicSystem:
     three derivatives are assembled.  No analytic Jacobian (the implicit
     elimination makes finite differences the honest choice).  The source
     jumps at the phases 0 and pi, declared as the system's breakpoints.
+    The table form solves all diodes of a table at once with
+    :func:`diode_voltages`; RK4 keeps the per-state form, which costs
+    over ten times less on a single state.
     """
     return PeriodicSystem(dim=3, rhs=_circuit_rhs, jac=None,
+                          rhs_table=_circuit_rhs_table,
                           omega=p.omega, params=p, breakpoints=(0.0, math.pi))
 
 

@@ -97,7 +97,8 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray,
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LinAlgWarning)
-                lu, piv = lu_factor(J)
+                # J is Fortran-ordered and not used again: factor in place
+                lu, piv = lu_factor(J, overwrite_a=True)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(it) from exc
         # rank deficiency surfaces as a negligible pivot on the U diagonal

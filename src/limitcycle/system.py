@@ -47,9 +47,14 @@ _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 
 class RhsEvaluationError(RuntimeError):
-    """Right-hand-side evaluation failed at a collocation node."""
+    """Right-hand-side evaluation failed at a collocation node.
 
-    def __init__(self, node: int, message: str = ""):
+    A table form raises it with ``node`` the index of the failing column;
+    the collocation layer re-raises it with that column's node index.
+    ``node`` is None when a table form failed without naming a column.
+    """
+
+    def __init__(self, node: int | None, message: str = ""):
         self.node = node
         super().__init__(message or f"rhs evaluation failed at node index {node}")
 
@@ -64,6 +69,13 @@ class PeriodicSystem:
     forcing periods.  ``breakpoints`` lists the forcing phases where f
     jumps (e.g. 0 and pi for a square wave); a collocation node on one of
     them is fed the mean of f's one-sided limits there.
+
+    ``rhs_table(table (m, K), phases (K,), params) -> (m, K)`` and
+    ``jac_table(...) -> (K, m, m)`` are optional table forms of rhs and
+    jac, column k being the state at phase k; they must agree with the
+    per-state forms column by column.  The collocation layer calls them
+    once over all nodes and loops over the nodes with the per-state form
+    when they are absent.  Time stepping calls the per-state forms.
     """
 
     dim: int
@@ -73,6 +85,8 @@ class PeriodicSystem:
     params: Any = None
     subharmonic: int = 1
     breakpoints: tuple[float, ...] = ()
+    rhs_table: Callable[[np.ndarray, np.ndarray, Any], np.ndarray] | None = None
+    jac_table: Callable[[np.ndarray, np.ndarray, Any], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -142,7 +156,9 @@ class CollocationProblem:
 
     ``jump_nodes`` are the node indices whose forcing phase is one of the
     system's breakpoints, and row i of ``jump_phases`` holds the phases
-    just before and just after that node's breakpoint.
+    just before and just after that node's breakpoint.  ``eval_phases``
+    are the forcing phases with each jump node's replaced by its phase
+    just before.
     """
 
     system: PeriodicSystem
@@ -152,9 +168,14 @@ class CollocationProblem:
     forcing_phases: np.ndarray = field(repr=False)
     jump_nodes: np.ndarray = field(repr=False)
     jump_phases: np.ndarray = field(repr=False)
+    eval_phases: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for arr in (self.forcing_phases, self.jump_nodes, self.jump_phases):
+        eval_phases = self.forcing_phases.copy()
+        eval_phases[self.jump_nodes] = self.jump_phases[:, 0]
+        object.__setattr__(self, "eval_phases", eval_phases)
+        for arr in (self.forcing_phases, self.jump_nodes, self.jump_phases,
+                    eval_phases):
             arr.setflags(write=False)
 
     @classmethod
@@ -175,38 +196,70 @@ class CollocationProblem:
         return self.system.dim * self.grid.size
 
 
-def _eval_node_blocks(problem: CollocationProblem, fn, table: np.ndarray,
-                      out: np.ndarray, what: str) -> np.ndarray:
-    """Fill out[j] = fn(x_j, t_j, params) for every node j.
+def _table_form(system: PeriodicSystem, kind: str):
+    """The system's table form of ``kind`` ("rhs" or "jac"), or, when it
+    has none, a loop over the columns with its per-state form."""
+    table_fn = getattr(system, f"{kind}_table")
+    if table_fn is not None:
+        return table_fn
+    fn = getattr(system, kind)
+    shape = (system.dim,) if kind == "rhs" else (system.dim, system.dim)
 
-    At a jump node fn is evaluated one ulp before and one ulp after its
-    breakpoint and out[j] is the mean of the two.
-    """
-    params = problem.system.params
-    phases = problem.forcing_phases
-    if problem.jump_nodes.size:
-        phases = phases.copy()
-        phases[problem.jump_nodes] = problem.jump_phases[:, 0]
-    try:
+    def per_node(table, phases, params):
+        out = np.empty((table.shape[1],) + shape)
         for j in range(table.shape[1]):
-            out[j] = fn(table[:, j], phases[j], params)
-        for j, (_, after) in zip(problem.jump_nodes, problem.jump_phases):
-            out[j] = 0.5 * (out[j] + fn(table[:, j], after, params))
+            try:
+                out[j] = fn(table[:, j], phases[j], params)
+            except Exception as exc:
+                raise RhsEvaluationError(j, str(exc)) from exc
+        return out.T if kind == "rhs" else out
+
+    return per_node
+
+
+def _call_table(fn, table, phases, params, kind, nodes=None) -> np.ndarray:
+    """fn over the columns of ``table``, node-major: (K, m) for an rhs,
+    (K, m, m) for a Jacobian.  A failure is raised as RhsEvaluationError
+    with the node index of the failing column, ``nodes[column]``."""
+    try:
+        values = np.array(fn(table, phases, params), dtype=float)
+    except RhsEvaluationError as exc:
+        node = exc.node
+        if node is not None and nodes is not None:
+            node = int(nodes[node])
+        cause = exc.__cause__ or exc
     except Exception as exc:
-        raise RhsEvaluationError(j, f"{what} evaluation failed at node index {j}: {exc}") from exc
+        node, cause = None, exc
+    else:
+        return values.T if kind == "rhs" else values
+    where = "over a node table" if node is None else f"at node index {node}"
+    raise RhsEvaluationError(
+        node, f"{kind} evaluation failed {where}: {cause}") from cause
+
+
+def _node_values(problem: CollocationProblem, table: np.ndarray,
+                 kind: str) -> np.ndarray:
+    """f (kind "rhs") or its Jacobian blocks (kind "jac") at every node of
+    an (m, N) table, node-major, in one table call.
+
+    A jump node gets one more call, at the phase just after its
+    breakpoint, and the mean of its two one-sided values.
+    """
+    fn = _table_form(problem.system, kind)
+    params = problem.system.params
+    out = _call_table(fn, table, problem.eval_phases, params, kind)
+    jumps = problem.jump_nodes
+    if jumps.size:
+        after = _call_table(fn, table[:, jumps], problem.jump_phases[:, 1],
+                            params, kind, jumps)
+        out[jumps] = 0.5 * (out[jumps] + after)
     return out
-
-
-def _eval_rhs_table(problem: CollocationProblem, table: np.ndarray) -> np.ndarray:
-    F = np.empty_like(table)
-    _eval_node_blocks(problem, problem.system.rhs, table, F.T, "rhs")
-    return F
 
 
 def rhs_stack(problem: CollocationProblem, X: np.ndarray) -> np.ndarray:
     """Evaluate f at every node; returns the component-major stack F(X)."""
     table = unflatten(X, problem.system.dim, problem.grid.size)
-    return _eval_rhs_table(problem, table).reshape(-1)
+    return _node_values(problem, table, "rhs").T.reshape(-1)
 
 
 def residual(problem: CollocationProblem, X: np.ndarray) -> np.ndarray:
@@ -242,25 +295,19 @@ def node_derivatives(problem: CollocationProblem, X: np.ndarray) -> np.ndarray:
     return dots
 
 
-def _jac_blocks_analytic(problem: CollocationProblem, table: np.ndarray) -> np.ndarray:
-    m, N = table.shape
-    return _eval_node_blocks(problem, problem.system.jac, table,
-                             np.empty((N, m, m)), "jacobian")
-
-
 def _jac_blocks_fd(problem: CollocationProblem, table: np.ndarray) -> np.ndarray:
     # Forward differences, one sweep per state component: f at node j only
     # depends on the m values at node j, so all nodes can be perturbed at
     # once.  Step per entry: sqrt(eps) * (1 + |X_i|).
     m, N = table.shape
-    base = _eval_rhs_table(problem, table)
+    base = _node_values(problem, table, "rhs")
     blocks = np.empty((N, m, m))
     for kprime in range(m):
         h = _SQRT_EPS * (1.0 + np.abs(table[kprime]))
         perturbed = table.copy()
         perturbed[kprime] += h
-        Fp = _eval_rhs_table(problem, perturbed)
-        blocks[:, :, kprime] = ((Fp - base) / h).T
+        Fp = _node_values(problem, perturbed, "rhs")
+        blocks[:, :, kprime] = (Fp - base) / h[:, None]
     return blocks
 
 
@@ -269,18 +316,23 @@ def jacobian(problem: CollocationProblem, X: np.ndarray, *, force_fd: bool = Fal
 
     P consists of m x m blocks of N x N diagonal matrices; block (k, k')
     carries d f_k / d x_k' at each node.  Uses the system's analytic jac
-    when available unless ``force_fd`` is set.
+    (or jac_table) when available unless ``force_fd`` is set.  J is
+    Fortran-ordered, so that LAPACK can factor it in place.
     """
-    m = problem.system.dim
+    system = problem.system
+    m = system.dim
     N = problem.grid.size
     table = unflatten(X, m, N)
-    if problem.system.jac is not None and not force_fd:
-        blocks = _jac_blocks_analytic(problem, table)
+    analytic = system.jac is not None or system.jac_table is not None
+    if analytic and not force_fd:
+        blocks = _node_values(problem, table, "jac")
     else:
         blocks = _jac_blocks_fd(problem, table)
-    J = np.kron(np.eye(m), problem.omega_eff * problem.D.entries)
-    idx = np.arange(N)
-    for k in range(m):
-        for kprime in range(m):
-            J[k * N + idx, kprime * N + idx] -= blocks[:, k, kprime]
+    J = np.zeros((m * N, m * N), order="F")
+    # J4[k, i, k', j] is the entry of row k*N + i and column k'*N + j
+    J4 = J.reshape(m, N, m, N)
+    diag = np.arange(m)
+    J4[diag, :, diag, :] = problem.omega_eff * problem.D.entries
+    nodes = np.arange(N)
+    J4[:, nodes, :, nodes] -= blocks
     return J

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import limitcycle.cli as cli
 from limitcycle.cli import main
+from limitcycle.models import CircuitParams, circuit_outputs, circuit_system
 from limitcycle.spectral import diff_matrix_equispaced, equispaced_nodes
 
 
@@ -130,6 +132,14 @@ class TestSweep:
         assert main(base + ["--sweep", "p=0:1:0.5", "--component", "3"]) == 2
         assert main(base + ["--sweep", "p=0:1:0.5", "--oversample", "2"]) == 2
 
+    def test_small_oversample_exits_before_the_branch_is_traced(self, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.setattr(cli, "sweep", no_sweep)
+        assert main(["sweep", "--model", "linear", "--N", "11",
+                     "--sweep", "p=0:1:0.5", "--oversample", "3"]) == 2
+
 
 class TestInterp:
     def test_node_count_reproduces_stored_values(self, tmp_path):
@@ -175,6 +185,24 @@ class TestSimulate:
         assert header["columns"] == "tau,x1"
         assert data.shape == (2 * 64 + 1, 2)
         assert data[0, 0] == 0.0
+
+    def test_circuit_outputs_match_the_per_state_rhs(self, tmp_path):
+        out = tmp_path / "tr.csv"
+        rc = main(["simulate", "--model", "circuit", "--N", "3",
+                   "--cycles", "2", "--steps", "64", "--out", str(out)])
+        assert rc == 0
+        header, data = _read(out)
+        assert header["columns"] == "tau,x1,x2,x3,i_d,V0"
+        p = CircuitParams()
+        system = circuit_system(p)
+        states = data[:, 1:4].T
+        phases = np.mod(system.omega * data[:, 0], 2.0 * np.pi)
+        phases[phases > np.pi] -= 2.0 * np.pi
+        xdot = np.column_stack([system.rhs(x, t, p)
+                                for x, t in zip(states.T, phases)])
+        for got, want in zip((data[:, 4], data[:, 5]),
+                             circuit_outputs(states, xdot, p)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_initial_state_must_match_dimension(self, tmp_path):
         rc = main(["simulate", "--model", "pendulum", "--N", "3",

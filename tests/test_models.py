@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from limitcycle.models import (
     BOLTZMANN,
@@ -16,6 +16,7 @@ from limitcycle.models import (
     circuit_system,
     diode_residual,
     diode_voltage,
+    diode_voltages,
     linear_system,
     pendulum_from_physical,
     pendulum_system,
@@ -226,3 +227,102 @@ class TestCircuit:
         xdot = np.ones((3, 2))
         i_d, v_out = circuit_outputs(x, xdot, p)
         assert i_d.shape == (2,) and v_out.shape == (2,)
+
+
+_phases = st.one_of(st.floats(-math.pi, math.pi, exclude_min=True),
+                    st.sampled_from([0.0, math.pi, -0.0]))
+
+
+def _columns(state_box):
+    # K columns (x..., t) with K in 1..12
+    return st.lists(st.tuples(*state_box, _phases), min_size=1, max_size=12)
+
+
+def _assert_columns_match(table_values, state_values):
+    # per column, relative to the largest entry of the per-state value
+    for got, want in zip(table_values, state_values):
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+class TestTableForms:
+    @settings(max_examples=60, deadline=None)
+    @given(cols=_columns((st.floats(-8, 8), st.floats(-5, 5), st.floats(-5, 5))))
+    def test_circuit_table_matches_per_state_rhs(self, cols):
+        p = CircuitParams()
+        sys = circuit_system(p)
+        data = np.array(cols)
+        table, t = data[:, :3].T.copy(), data[:, 3].copy()
+        F = sys.rhs_table(table, t, p)
+        assert F.shape == table.shape
+        _assert_columns_match(F.T, [sys.rhs(x, tk, p) for x, tk in zip(table.T, t)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(cols=_columns((st.floats(-10, 10), st.floats(-50, 50))),
+           b=st.floats(0, 200), a=st.floats(0, 1))
+    def test_pendulum_tables_match_per_state_forms(self, cols, b, a):
+        p = PendulumParams(a=a, b=b, omega=17.5)
+        sys = pendulum_system(p)
+        data = np.array(cols)
+        table, t = data[:, :2].T.copy(), data[:, 2].copy()
+        F = sys.rhs_table(table, t, p)
+        J = sys.jac_table(table, t, p)
+        assert F.shape == table.shape and J.shape == (t.size, 2, 2)
+        states = list(zip(table.T, t))
+        _assert_columns_match(F.T, [sys.rhs(x, tk, p) for x, tk in states])
+        _assert_columns_match(J, [sys.jac(x, tk, p) for x, tk in states])
+
+    def test_linear_model_has_no_table_form(self):
+        sys = linear_system(1.0)
+        assert sys.rhs_table is None and sys.jac_table is None
+
+
+def _criterion_7_bound(vd, x1, x3, vs, p):
+    # criterion 7's tolerance, plus the rounding of diode_residual's own
+    # terms: the solve stops on g written as R1 * (V_lin - V_d - ...),
+    # which rounds differently from diode_residual's form of the same g
+    e = math.exp(min(vd / (p.eta * p.thermal_voltage), 700.0))
+    terms = ((p.R1 + p.R2) * (abs(vs) + abs(x1) + abs(vd) + p.i_s * p.R1 * e)
+             + p.R2 * (abs(vs) + abs(x1) + p.R1 * abs(x3) + abs(vd)))
+    eps = np.finfo(float).eps
+    return 1e-13 * (p.R1 + p.R2) * max(1.0, abs(vs)) + 4.0 * eps * terms
+
+
+class TestDiodeTable:
+    @settings(max_examples=60, deadline=None)
+    @given(cols=st.lists(st.tuples(st.floats(-8, 8), st.floats(-5, 5),
+                                   st.booleans()), min_size=1, max_size=16))
+    @example(cols=[(-4.1875, -1.75, True)])
+    def test_every_root_reaches_the_stated_tolerance(self, cols):
+        # criterion 7's bound, elementwise, up to diode_residual's rounding;
+        # at the example state both diodes stop with |g| just under the
+        # tolerance and diode_residual reads 0.3% above it
+        p = CircuitParams()
+        x1, x3, pos = (np.array(c) for c in zip(*cols))
+        vs = np.where(pos, p.A_m, -p.A_m)
+        vd = diode_voltages(x1, x3, vs, p)
+        for k in range(vd.size):
+            assert (abs(diode_residual(vd[k], x1[k], x3[k], vs[k], p))
+                    <= _criterion_7_bound(vd[k], x1[k], x3[k], vs[k], p))
+
+    @settings(max_examples=60, deadline=None)
+    @given(cols=st.lists(st.tuples(st.floats(-1e7, 1e7), st.floats(-1e7, 1e7),
+                                   st.sampled_from([-5.6, 0.0, 5.6])),
+                         min_size=1, max_size=16))
+    def test_large_states_solve_to_their_terms_scale(self, cols):
+        p = CircuitParams()
+        x1, x3, vs = (np.array(c) for c in zip(*cols))
+        vd = diode_voltages(x1, x3, vs, p)
+        for k in range(vd.size):
+            scale = (p.R1 + p.R2) * max(
+                1.0, abs(vs[k]) + abs(x1[k]) + p.R2 * abs(x3[k]))
+            assert abs(diode_residual(vd[k], x1[k], x3[k], vs[k], p)) <= 1e-13 * scale
+
+    def test_large_state_stops_on_closed_bracket(self):
+        p = CircuitParams()
+        x1, x3, vs = 357229.2895600515, 1258344.163007977, -5.6
+        vd = diode_voltages(np.array([x1, 1.0]), np.array([x3, 0.5]),
+                            np.array([vs, 5.6]), p)
+        scale = (p.R1 + p.R2) * (abs(vs) + abs(x1) + p.R2 * abs(x3))
+        assert abs(diode_residual(vd[0], x1, x3, vs, p)) <= 1e-13 * scale
+        assert vd[1] == pytest.approx(diode_voltage(1.0, 0.5, 5.6, p), abs=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from limitcycle.models import (
     square_wave,
 )
 from limitcycle.solver import newton_solve
-from limitcycle.spectral import equispaced_nodes
+from limitcycle.spectral import apply_derivative, equispaced_nodes
 from limitcycle.system import (
     CollocationProblem,
     PeriodicSystem,
@@ -314,6 +315,100 @@ class TestBreakpoints:
         (before, after), = prob.jump_phases
         assert before == np.nextafter(np.pi, 0.0)
         assert -np.pi < after < -3.14
+
+
+def _without_tables(system):
+    return dataclasses.replace(system, rhs_table=None, jac_table=None)
+
+
+class TestTableForm:
+    @pytest.mark.parametrize("subharmonic", [1, 2])
+    def test_table_and_per_node_paths_agree(self, subharmonic):
+        table_sys = pendulum_system(PendulumParams(a=0.1, b=7.0, omega=17.5),
+                                    subharmonic)
+        probs = [CollocationProblem.build(s, 21)
+                 for s in (table_sys, _without_tables(table_sys))]
+        X = np.random.default_rng(5).uniform(-3, 3, 42)
+        R_table, R_loop = (residual(prob, X) for prob in probs)
+        np.testing.assert_allclose(R_table, R_loop, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(R_loop)))
+        for force_fd in (False, True):
+            J_table, J_loop = (jacobian(prob, X, force_fd=force_fd)
+                               for prob in probs)
+            np.testing.assert_allclose(J_table, J_loop, rtol=0,
+                                       atol=1e-9 * np.max(np.abs(J_loop)))
+
+    def test_jac_table_alone_is_used_as_the_analytic_jacobian(self):
+        p = PendulumParams(a=0.2, b=7.0, omega=5.0)
+        full = pendulum_system(p)
+        table_only = dataclasses.replace(full, jac=None)
+        X = np.random.default_rng(6).uniform(-3, 3, 18)
+        J = jacobian(CollocationProblem.build(table_only, 9), X)
+        np.testing.assert_array_equal(
+            J, jacobian(CollocationProblem.build(full, 9), X))
+
+    def test_circuit_jump_node_uses_the_mean_of_its_one_sided_rhs(self):
+        p = CircuitParams()
+        sys = circuit_system(p)
+        N = 11
+        prob = CollocationProblem.build(sys, N)
+        j = N - 1
+        assert prob.jump_nodes.tolist() == [j]
+        rng = np.random.default_rng(7)
+        table = np.vstack([rng.uniform(2, 5, N), rng.uniform(-1, 1, N),
+                           rng.uniform(-2, 2, N)])
+        R = unflatten(residual(prob, flatten(table)), 3, N)
+        deriv = prob.omega_eff * apply_derivative(prob.D, table)
+        before, after = prob.jump_phases[0]
+        sides = [sys.rhs(table[:, j], phase, p) for phase in (before, after)]
+        expected = deriv[:, j] - 0.5 * (sides[0] + sides[1])
+        scale = np.max(np.abs(deriv[:, j])) + np.max(np.abs(sides))
+        assert np.max(np.abs(R[:, j] - expected)) <= 1e-12 * scale
+        # the source's +A side alone is far from it
+        assert np.max(np.abs(R[:, j] - (deriv[:, j] - sides[0]))) > 1e-3 * scale
+
+    def test_failing_column_raises_with_its_node_index(self):
+        def refusing_table(table, t, params):
+            # only the jump node's call at the phase just after pi
+            bad = np.flatnonzero(t < -3.14)
+            if bad.size:
+                raise RhsEvaluationError(int(bad[0]), "refused")
+            return -table
+
+        sys = PeriodicSystem(dim=1, rhs=lambda x, t, p: -x, omega=1.0,
+                             rhs_table=refusing_table, breakpoints=(np.pi,))
+        prob = CollocationProblem.build(sys, 11)
+        with pytest.raises(RhsEvaluationError, match="node index 10") as info:
+            residual(prob, np.zeros(11))
+        assert info.value.node == 10
+
+    def test_table_failure_without_a_column_is_an_rhs_error(self):
+        def failing_table(table, t, params):
+            raise FloatingPointError("blow up")
+
+        sys = PeriodicSystem(dim=1, rhs=lambda x, t, p: -x, omega=1.0,
+                             rhs_table=failing_table)
+        with pytest.raises(RhsEvaluationError, match="blow up") as info:
+            residual(CollocationProblem.build(sys, 5), np.zeros(5))
+        assert info.value.node is None
+
+    def test_line_search_rejects_a_trial_the_table_refuses(self):
+        # x' = -atan(x) from 1.5: the full Newton step lands on -1.69,
+        # outside the table form's domain |x| <= 1.6
+        def rhs_table(table, t, params):
+            bad = np.flatnonzero(np.abs(table[0]) > 1.6)
+            if bad.size:
+                raise RhsEvaluationError(int(bad[0]), "outside the domain")
+            return -np.arctan(table)
+
+        sys = PeriodicSystem(
+            dim=1, rhs=lambda x, t, p: -np.arctan(x), omega=1.0,
+            rhs_table=rhs_table,
+            jac_table=lambda table, t, p: (-1.0 / (1.0 + table[0] ** 2))[:, None, None])
+        r = newton_solve(CollocationProblem.build(sys, 11), np.full(11, 1.5))
+        assert r.converged
+        assert r.step_history[0][2] == 0.5
+        np.testing.assert_allclose(r.X, 0.0, rtol=0, atol=1e-9)
 
 
 class TestValidation:
