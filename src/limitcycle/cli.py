@@ -175,16 +175,16 @@ def _instantiate(cfg: RunConfig):
         raise _UsageError(
             f"model {cfg.model!r} has no parameter(s) {', '.join(unknown)}"
         )
-    params = cls(**cfg.params)
     # looked up per call, so that a replaced module-level factory applies
     factories = {
         "pendulum": pendulum_system,
         "linear": linear_system,
         "circuit": circuit_system,
     }
-    system = dataclasses.replace(factories[cfg.model](params),
-                                 subharmonic=cfg.subharmonic)
     try:
+        params = cls(**cfg.params)
+        system = dataclasses.replace(factories[cfg.model](params),
+                                     subharmonic=cfg.subharmonic)
         problem = CollocationProblem.build(system, cfg.N)
     except ValueError as exc:
         raise _UsageError(str(exc))

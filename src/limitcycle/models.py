@@ -5,25 +5,25 @@ All right-hand sides use the (x, t, params) calling convention of
 :class:`~limitcycle.system.PeriodicSystem`, with t the forcing phase in
 (-pi, pi].  The pendulum and the circuit also have the table form
 (table (m, K), phases (K,), params) that the collocation layer calls once
-over all nodes; the linear model keeps the per-node loop.
+over all nodes, and analytic Jacobians; the linear model keeps the
+per-node loop.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .system import PeriodicSystem, RhsEvaluationError
+from .system import PeriodicSystem
 
 __all__ = [
     "PendulumParams",
-    "PhysicalPendulum",
     "LinearParams",
     "CircuitParams",
     "pendulum_system",
-    "pendulum_from_physical",
     "linear_system",
     "circuit_system",
     "square_wave",
@@ -50,32 +50,6 @@ class PendulumParams:
     a: float = 0.1
     b: float = 0.0
     omega: float = 17.5
-
-
-@dataclass(frozen=True)
-class PhysicalPendulum:
-    """Dimensional pendulum: damping mu, length l, gravity g, pivot
-    excursion A, drive frequency omega."""
-
-    mu: float
-    l: float
-    g: float
-    A: float
-    omega: float
-
-
-def pendulum_from_physical(phys: PhysicalPendulum) -> PendulumParams:
-    """Convert dimensional parameters to (a, b, omega).
-
-    a = 2*mu / sqrt(l*g), b = A * omega**2 / l.
-    """
-    if phys.l <= 0 or phys.g <= 0:
-        raise ValueError(
-            f"length and gravity must be positive, got l={phys.l}, g={phys.g}"
-        )
-    a = 2.0 * phys.mu / math.sqrt(phys.l * phys.g)
-    b = phys.A * phys.omega**2 / phys.l
-    return PendulumParams(a=a, b=b, omega=phys.omega)
 
 
 def _pendulum_rhs(x, t, p):
@@ -176,6 +150,15 @@ class CircuitParams:
     eta: float = 0.8953
     T_abs: float = 300.0
 
+    def __post_init__(self):
+        # the diode's closed form takes ln((R1+R2)*i_s / (eta*V_T))
+        for name, value in (("i_s", self.i_s), ("eta", self.eta),
+                            ("T_abs", self.T_abs),
+                            ("R1 + R2", self.R1 + self.R2)):
+            if not value > 0:
+                raise ValueError(
+                    f"circuit parameter {name} must be > 0, got {value}")
+
     @property
     def thermal_voltage(self) -> float:
         """k_B * T_abs / q_e."""
@@ -209,114 +192,51 @@ def diode_residual(vd: float, x1: float, x3: float, vs: float,
             - p.R2 * (vs - x1 - p.R1 * x3 - vd))
 
 
-def diode_voltage(x1: float, x3: float, vs: float, p: CircuitParams,
-                  v0: float = 0.0) -> float:
-    """Solve g(V_d) = 0 by safeguarded Newton (bisection fallback).
+@functools.cache
+def _wrightomega():
+    # imported on first use: only the circuit needs scipy.special, and
+    # importing it with the package added 10-20% to every CLI start-up
+    from scipy.special import wrightomega
+    return wrightomega
 
-    Iterates until |g| <= 1e-13 * (R1+R2) * max(1, |Vs|), or until the
-    root's bracket has closed to adjacent floats.  ``v0`` is an
-    optional warm start; when it is not usable an analytic start is
-    derived from the i_s -> 0 limit V_lin = (Vs - x1) + R2*x3 (the root
-    itself for a blocking diode, a log-capped value for a conducting
-    one).
+
+def _diode_omega(x1, x3, vs, p: CircuitParams):
+    """The setup shared by both diode finishes: (a, isr, c, w).
+
+    With a = eta*V_T, isr = (R1+R2)*i_s and c = (Vs - x1) + R2*x3 + isr,
+    g(V_d) = 0 reads c - V_d = isr*exp(V_d/a), so w = (c - V_d)/a solves
+    w + ln(w) = c/a + ln(isr/a): w is the Wright omega function of that
+    argument (``scipy.special.wrightomega``).  This is the Lambert-W
+    diode with series resistance, in a form that cannot overflow.
+    Scalars or arrays alike.
     """
-    r1 = p.R1
-    r2 = p.R2
-    rsum = r1 + r2
-    etavt = p.eta * p.thermal_voltage
-    isr = rsum * p.i_s
-    vlin = (vs - x1) + r2 * x3
-    tol = 1e-13 * rsum * max(1.0, abs(vs))
+    a = p.eta * p.thermal_voltage
+    isr = (p.R1 + p.R2) * p.i_s
+    c = (vs - x1) + p.R2 * x3 + isr
+    return a, isr, c, _wrightomega()(c / a + math.log(isr / a))
 
-    def geval(v):
-        e = math.exp(min(v / etavt, 700.0))
-        g = r1 * (vlin - v - isr * (e - 1.0))
-        dg = -r1 * (1.0 + isr * e / etavt)
-        return g, dg
 
-    cap = etavt * math.log1p(max(vlin, 0.0) / isr)
-    lo = min(0.0, vlin) - 1.0
-    hi = max(0.0, vlin, cap) + 1.0
-    if lo < v0 < hi and v0 != 0.0:
-        x = v0
-    else:
-        x = vlin if vlin <= 0.0 else cap
-    g, dg = geval(x)
-    for _ in range(200):
-        if abs(g) <= tol:
-            return x
-        if g > 0.0:
-            lo = x
-        else:
-            hi = x
-        if dg != 0.0:
-            cand = x - g / dg
-        else:
-            cand = 0.5 * (lo + hi)
-        if not (lo < cand < hi):
-            cand = 0.5 * (lo + hi)
-            if not (lo < cand < hi):
-                # lo and hi are adjacent floats: for large states g's
-                # rounding floor lies above tol, and x is as close as it gets
-                return x
-        x = cand
-        g, dg = geval(x)
-    raise RuntimeError(
-        f"diode voltage iteration stalled at |g|={abs(g):.3e} (tol {tol:.3e})"
-    )
+def diode_voltage(x1: float, x3: float, vs: float, p: CircuitParams) -> float:
+    """The root of g(V_d) = 0 in closed form (see :func:`_diode_omega`).
+
+    V_d = c - a*w where w <= 1, the blocking side, where w may underflow
+    to 0; V_d = a*ln(a*w/isr) otherwise, where c and a*w grow together
+    and their difference would cancel.
+    """
+    a, isr, c, w = _diode_omega(x1, x3, vs, p)
+    # kept on math, not np.where: RK4 calls this once per rhs, and the
+    # numpy form costs about five times as much on a scalar
+    w = float(w)
+    return c - a * w if w <= 1.0 else a * math.log(a * w / isr)
 
 
 def diode_voltages(x1: np.ndarray, x3: np.ndarray, vs: np.ndarray,
                    p: CircuitParams) -> np.ndarray:
-    """:func:`diode_voltage` (cold start) elementwise over arrays.
-
-    The same safeguarded Newton on each element, with bracket arrays and
-    the same two stops: |g| <= 1e-13 * (R1+R2) * max(1, |Vs|), or a
-    bracket closed to adjacent floats.  Converged elements drop out of
-    the iteration.  An element still open after 200 steps raises
-    :class:`~limitcycle.system.RhsEvaluationError` with its index.
-    """
-    r1 = p.R1
-    r2 = p.R2
-    rsum = r1 + r2
-    etavt = p.eta * p.thermal_voltage
-    isr = rsum * p.i_s
-    vs = np.broadcast_to(vs, np.shape(x1))
-    vlin = (vs - x1) + r2 * x3
-    tol = 1e-13 * rsum * np.maximum(1.0, np.abs(vs))
-    cap = etavt * np.log1p(np.maximum(vlin, 0.0) / isr)
-    lo = np.minimum(0.0, vlin) - 1.0
-    hi = np.maximum(np.maximum(0.0, vlin), cap) + 1.0
-    x = np.where(vlin <= 0.0, vlin, cap)
-    out = np.empty_like(x)
-    idx = np.arange(x.size)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for _ in range(200):
-            e = np.exp(np.minimum(x / etavt, 700.0))
-            g = r1 * (vlin - x - isr * (e - 1.0))
-            dg = -r1 * (1.0 + isr * e / etavt)
-            up = g > 0.0
-            lo = np.where(up, x, lo)
-            hi = np.where(up, hi, x)
-            mid = 0.5 * (lo + hi)
-            cand = np.where(dg != 0.0, x - g / dg, mid)
-            outside = ~((lo < cand) & (cand < hi))
-            cand = np.where(outside, mid, cand)
-            # lo and hi adjacent floats: x is as close as it gets
-            closed = outside & ~((lo < mid) & (mid < hi))
-            done = (np.abs(g) <= tol) | closed
-            if done.any():
-                out[idx[done]] = x[done]
-                if done.all():
-                    return out
-                keep = ~done
-                idx, cand, g, lo, hi, vlin, tol = (
-                    a[keep] for a in (idx, cand, g, lo, hi, vlin, tol))
-            x = cand
-    raise RhsEvaluationError(
-        int(idx[0]),
-        f"diode voltage iteration stalled at |g|={abs(g[0]):.3e} "
-        f"(tol {tol[0]:.3e})")
+    """:func:`diode_voltage` elementwise over arrays."""
+    a, isr, c, w = _diode_omega(x1, x3, vs, p)
+    # log(0) where w underflows is computed, then discarded by the where
+    with np.errstate(divide="ignore"):
+        return np.where(w <= 1.0, c - a * w, a * np.log(a * w / isr))
 
 
 def _circuit_derivatives(x1, x2, x3, vs, vd, e, p):
@@ -346,20 +266,47 @@ def _circuit_rhs_table(table, t, p):
     return np.array(_circuit_derivatives(x1, x2, x3, vs, vd, e, p))
 
 
+def _circuit_jac_table(table, t, p):
+    x1, _, x3 = table
+    vs = np.where(t >= 0.0, p.A_m, -p.A_m)
+    w = _diode_omega(x1, x3, vs, p)[3]
+    rsum = p.R1 + p.R2
+    r34 = p.R3 + p.R4
+    # V_d depends on x1 and x3 through V_lin = (Vs - x1) + R2*x3, with
+    # dV_d/dV_lin = 1/(1 + w); and since i_s*exp(V_d/a) = a*w/rsum,
+    # d/dV_d of V_d + i_s*R1*(exp(V_d/a) - 1) is 1 + R1*w/rsum
+    dvd = 1.0 / (1.0 + w)
+    dload = 1.0 + p.R1 * w / rsum
+    blocks = np.zeros((t.size, 3, 3))
+    blocks[:, 0, 0] = -w * dvd / (p.C1 * rsum)
+    blocks[:, 0, 2] = -(p.R1 + p.R2 * dvd) / (p.C1 * rsum)
+    blocks[:, 1, 1] = -1.0 / (p.C2 * r34)
+    blocks[:, 1, 2] = p.R4 / (p.C2 * r34)
+    blocks[:, 2, 0] = dload * dvd / p.L
+    blocks[:, 2, 1] = -p.R4 / (r34 * p.L)
+    blocks[:, 2, 2] = -(p.R3 * p.R4 / r34 + dload * p.R2 * dvd) / p.L
+    return blocks
+
+
+def _circuit_jac(x, t, p):
+    return _circuit_jac_table(np.reshape(x, (3, 1)), np.array([t]), p)[0]
+
+
 def circuit_system(p: CircuitParams) -> PeriodicSystem:
     """Square-wave-driven commutation circuit, states (V_C1, V_C2, i_L).
 
     The diode voltage is an implicit algebraic unknown; every rhs
-    evaluation eliminates it through :func:`diode_voltage` before the
-    three derivatives are assembled.  No analytic Jacobian (the implicit
-    elimination makes finite differences the honest choice).  The source
-    jumps at the phases 0 and pi, declared as the system's breakpoints.
-    The table form solves all diodes of a table at once with
-    :func:`diode_voltages`; RK4 keeps the per-state form, which costs
-    over ten times less on a single state.
+    evaluation eliminates it in closed form through :func:`diode_voltage`
+    (:func:`diode_voltages` in the table form) before the three
+    derivatives are assembled.  The analytic Jacobian follows from
+    dV_d/dV_lin = 1/(1 + w), and ``jac`` is the one-column view of
+    ``jac_table``.  The source jumps at the phases 0 and pi, declared as
+    the system's breakpoints.  RK4 calls the per-state rhs, which costs
+    several times less than the table form on a single state.
     """
-    return PeriodicSystem(dim=3, rhs=_circuit_rhs, jac=None,
+    return PeriodicSystem(dim=3, rhs=_circuit_rhs, jac=_circuit_jac,
                           rhs_table=_circuit_rhs_table,
+                          jac_table=_circuit_jac_table,
                           omega=p.omega, params=p, breakpoints=(0.0, math.pi))
 
 

@@ -69,8 +69,9 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray,
 
     Non-convergence is an outcome (``converged=False``), not an
     exception; only a numerically singular Jacobian raises, or an
-    RhsEvaluationError at X0 or at an accepted iterate.  A line-search
-    trial where f cannot be evaluated counts as rejected.
+    RhsEvaluationError at X0 (f fails or is not finite there) or at an
+    accepted iterate.  A line-search trial where f cannot be evaluated
+    counts as rejected.
     """
     X = np.asarray(X0, dtype=float).copy()
     if X.shape != (problem.size,):
@@ -78,6 +79,12 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray,
             f"initial state has shape {X.shape}, expected ({problem.size},)"
         )
     F = rhs_stack(problem, X)
+    bad = np.flatnonzero(~np.isfinite(F))
+    if bad.size:
+        # the tolerance below, and every norm comparison, would be inf or nan
+        node = int(bad[0] % problem.grid.size)
+        raise RhsEvaluationError(
+            node, f"rhs is not finite at node index {node} of the initial state")
     if config.tol_residual is not None:
         tol = config.tol_residual
     else:

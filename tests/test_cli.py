@@ -99,6 +99,20 @@ class TestSolve:
             assert main(["solve", "--model", model, "--N", "3",
                          "--guess", guess]) == 2, guess
 
+    @pytest.mark.parametrize("model,param,named", [
+        ("pendulum", "omega=0", "forcing frequency"),
+        ("circuit", "T_period=-1e-5", "forcing frequency"),
+        ("circuit", "i_s=0", "i_s"),
+        ("circuit", "eta=-0.9", "eta"),
+        ("circuit", "T_abs=0", "T_abs"),
+    ])
+    def test_bad_model_parameters_exit_2(self, model, param, named, capsys):
+        # i_s=0 used to pass as converged with an inf residual
+        assert main(["solve", "--model", model, "--N", "5",
+                     "--param", param]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
 
 class TestSweep:
     def test_linear_extrema_scale_with_parameter(self, tmp_path):

@@ -170,6 +170,18 @@ class TestFailedTrials:
         with pytest.raises(RhsEvaluationError):
             newton_solve(prob, np.full(11, 2.0))
 
+    def test_non_finite_rhs_at_initial_state_raises(self):
+        # an inf residual made the tolerance inf, so the guess passed as
+        # converged after 0 iterations
+        def rhs(x, t, p):
+            return np.array([np.inf if t > 1.0 else -x[0]])
+
+        prob = CollocationProblem.build(
+            PeriodicSystem(dim=1, rhs=rhs, omega=1.0), 11)
+        with pytest.raises(RhsEvaluationError) as info:
+            newton_solve(prob, np.zeros(11))
+        assert prob.grid.nodes[info.value.node] > 1.0
+
 
 @pytest.mark.parametrize("subharmonic", [1, 2])
 def test_initial_norm_is_the_residual_at_the_guess(subharmonic):
