@@ -3,10 +3,8 @@
 from .continuation import (
     Branch,
     BranchSeedError,
-    ExtremaPoint,
     SweepConfig,
     extract_extrema,
-    extrema_along_branch,
     sweep,
 )
 from .models import (
@@ -56,7 +54,6 @@ __all__ = [
     "CircuitParams",
     "CollocationProblem",
     "DiffMatrix",
-    "ExtremaPoint",
     "LinearParams",
     "NewtonConfig",
     "NodeGrid",
@@ -78,7 +75,6 @@ __all__ = [
     "diode_voltages",
     "equispaced_nodes",
     "extract_extrema",
-    "extrema_along_branch",
     "flatten",
     "guess_near_pi",
     "jacobian",

@@ -44,6 +44,7 @@ from .spectral import (
 )
 from .system import (
     CollocationProblem,
+    RhsEvaluationError,
     _wrap_phase,
     flatten,
     node_derivatives,
@@ -53,15 +54,21 @@ from .warmstart import TransientConfig, guess_near_pi, rk4_transient
 
 __all__ = ["main", "RunConfig"]
 
-_PARAM_TYPES = {
-    "pendulum": PendulumParams,
-    "linear": LinearParams,
-    "circuit": CircuitParams,
+# model name -> (parameter record, name of its system factory in this
+# module); the factory is looked up at call time, so that a replaced
+# module-level factory applies
+_MODELS = {
+    "pendulum": (PendulumParams, "pendulum_system"),
+    "linear": (LinearParams, "linear_system"),
+    "circuit": (CircuitParams, "circuit_system"),
 }
 
 
-class _UsageError(Exception):
-    """Invalid configuration or arguments; maps to exit code 2."""
+class _UsageError(ValueError):
+    """Invalid configuration or arguments; maps to exit code 2.
+
+    A ValueError, so that a sweep counts a rejected parameter as a failed step.
+    """
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,7 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.model not in _PARAM_TYPES:
+        if self.model not in _MODELS:
             raise _UsageError(f"unknown model {self.model!r}")
         if self.N < 3 or self.N % 2 == 0:
             raise _UsageError(f"N must be an odd integer >= 3, got {self.N}")
@@ -168,22 +175,16 @@ def _resolve_config(args) -> RunConfig:
 
 def _instantiate(cfg: RunConfig):
     """Build (params, system, problem) for a resolved config."""
-    cls = _PARAM_TYPES[cfg.model]
+    cls, factory = _MODELS[cfg.model]
     valid = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(cfg.params) - valid)
     if unknown:
         raise _UsageError(
             f"model {cfg.model!r} has no parameter(s) {', '.join(unknown)}"
         )
-    # looked up per call, so that a replaced module-level factory applies
-    factories = {
-        "pendulum": pendulum_system,
-        "linear": linear_system,
-        "circuit": circuit_system,
-    }
     try:
         params = cls(**cfg.params)
-        system = dataclasses.replace(factories[cfg.model](params),
+        system = dataclasses.replace(globals()[factory](params),
                                      subharmonic=cfg.subharmonic)
         problem = CollocationProblem.build(system, cfg.N)
     except ValueError as exc:
@@ -373,12 +374,7 @@ def cmd_sweep(args) -> int:
 
     X0 = _initial_guess(cfg, system, problem)
     try:
-        branch = sweep(
-            family,
-            X0,
-            SweepConfig(name, start, end, step),
-            provenance=cfg.guess,
-        )
+        branch = sweep(family, X0, SweepConfig(name, start, end, step))
     except BranchSeedError as exc:
         print(f"seed solve failed at {name}={exc.parameter}", file=sys.stderr)
         return 1
@@ -493,7 +489,7 @@ def cmd_matrix(args) -> int:
 
 def _add_run_options(sp):
     sp.add_argument("--config", help="INI config file; flags override it")
-    sp.add_argument("--model", choices=sorted(_PARAM_TYPES))
+    sp.add_argument("--model", choices=sorted(_MODELS))
     sp.add_argument("--N", type=int, help="odd number of nodes")
     sp.add_argument("--subharmonic", type=int)
     sp.add_argument("--param", nargs="*", metavar="NAME=VALUE")
@@ -550,7 +546,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, RhsEvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,17 +21,17 @@ from .spectral import (
     diff_matrix_equispaced,
     trig_interpolate,
 )
-from .system import CollocationProblem
+from .system import CollocationProblem, RhsEvaluationError
 
 __all__ = [
     "BranchSeedError",
     "SweepConfig",
     "Branch",
-    "ExtremaPoint",
     "sweep",
     "extract_extrema",
-    "extrema_along_branch",
 ]
+
+_MIN_STEP_DIVISOR = 64.0
 
 
 class BranchSeedError(RuntimeError):
@@ -46,30 +46,23 @@ class BranchSeedError(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Range and stepping policy for a one-parameter sweep.
+    """Range and step of a one-parameter sweep.
 
-    With ``adaptive`` set, a failed solve halves the step (down to
-    ``min_step``) and retries; after a success the step grows back
-    toward the configured value.  ``start == end`` is allowed and
-    yields a single-point branch.
+    A failed solve halves the step (down to step/64) and retries; after a
+    success the step grows back toward ``step``.  ``start == end`` is
+    allowed and yields a single-point branch.
     """
 
     parameter_name: str
     start: float
     end: float
     step: float
-    adaptive: bool = True
-    min_step: float | None = None
 
     def __post_init__(self):
         if not self.parameter_name:
             raise ValueError("parameter_name must be a nonempty identifier")
         if not (self.step > 0.0):
             raise ValueError("step must be positive")
-        if self.min_step is None:
-            object.__setattr__(self, "min_step", self.step / 64.0)
-        if not (0.0 < self.min_step <= self.step):
-            raise ValueError("min_step must lie in (0, step]")
 
 
 @dataclass(frozen=True)
@@ -77,32 +70,13 @@ class Branch:
     """Converged points of one sweep, in march order.
 
     ``status`` is "completed" when the sweep reached ``end`` and
-    "truncated" when it stopped early (step underflow, or a failure
-    with adaptive stepping disabled).  Only converged points are
-    stored, so parameter values are strictly monotone.
+    "truncated" when it stopped early, the step having shrunk to its
+    floor.  Only converged points are stored, so parameter values are
+    strictly monotone.
     """
 
     points: tuple[tuple[float, SolveResult], ...]
-    provenance: str = ""
     status: str = "completed"
-
-    @property
-    def parameters(self) -> np.ndarray:
-        return np.array([p for p, _ in self.points])
-
-
-@dataclass(frozen=True)
-class ExtremaPoint:
-    """Per-cycle max/min of one component at one parameter value."""
-
-    parameter: float
-    component_index: int
-    max_value: float
-    min_value: float
-
-    def __post_init__(self):
-        if self.max_value < self.min_value:
-            raise ValueError("max_value must be >= min_value")
 
 
 def sweep(
@@ -110,13 +84,15 @@ def sweep(
     X0: np.ndarray,
     cfg: SweepConfig,
     newton_cfg: NewtonConfig | None = None,
-    provenance: str = "",
 ) -> Branch:
     """March the parameter from start to end, warm-starting each solve.
 
     ``problem_family`` maps a parameter value to the collocation
     problem at that value.  Raises BranchSeedError when the very first
-    solve fails; later failures truncate the branch instead.
+    solve fails; later failures shrink the step and, at its floor,
+    truncate the branch instead.  A later value at which
+    ``problem_family`` raises ValueError (the model rejects it) or f is
+    not finite at the warm start counts as a failed solve.
     """
     ncfg = newton_cfg if newton_cfg is not None else NewtonConfig()
     p = float(cfg.start)
@@ -127,27 +103,31 @@ def sweep(
     X = seed.X
 
     if cfg.end == cfg.start:
-        return Branch(tuple(points), provenance, "completed")
+        return Branch(tuple(points), "completed")
 
     direction = 1.0 if cfg.end > cfg.start else -1.0
+    min_step = cfg.step / _MIN_STEP_DIVISOR
     h = cfg.step
     while p != cfg.end:
         remaining = abs(cfg.end - p)
         trial_h = min(h, remaining)
         # land exactly on the endpoint instead of accumulating roundoff
         p_trial = cfg.end if trial_h == remaining else p + direction * trial_h
-        result = newton_solve(problem_family(p_trial), X, ncfg)
-        if result.converged:
+        try:
+            result = newton_solve(problem_family(p_trial), X, ncfg)
+        except (ValueError, RhsEvaluationError):
+            result = None
+        if result is not None and result.converged:
             p = p_trial
             X = result.X
             points.append((p, result))
-            if cfg.adaptive and h < cfg.step:
+            if h < cfg.step:
                 h = min(2.0 * h, cfg.step)
         else:
-            if not cfg.adaptive or trial_h <= cfg.min_step:
-                return Branch(tuple(points), provenance, "truncated")
-            h = max(trial_h / 2.0, cfg.min_step)
-    return Branch(tuple(points), provenance, "completed")
+            if trial_h <= min_step:
+                return Branch(tuple(points), "truncated")
+            h = max(trial_h / 2.0, min_step)
+    return Branch(tuple(points), "completed")
 
 
 # Newton converges quadratically from within one sample spacing of an
@@ -213,17 +193,3 @@ def extract_extrema(
         float(max(refined[0], dense[i_ext[0]])),
         float(min(refined[1], dense[i_ext[1]])),
     )
-
-
-def extrema_along_branch(
-    grid: NodeGrid,
-    branch: Branch,
-    component: int,
-    oversample: int = 8,
-) -> list[ExtremaPoint]:
-    """Extrema of one component at every converged point of a branch."""
-    out = []
-    for p, result in branch.points:
-        hi, lo = extract_extrema(grid, result.X, component, oversample)
-        out.append(ExtremaPoint(p, component, hi, lo))
-    return out

@@ -5,8 +5,8 @@ All right-hand sides use the (x, t, params) calling convention of
 :class:`~limitcycle.system.PeriodicSystem`, with t the forcing phase in
 (-pi, pi].  The pendulum and the circuit also have the table form
 (table (m, K), phases (K,), params) that the collocation layer calls once
-over all nodes, and analytic Jacobians; the linear model keeps the
-per-node loop.
+over all nodes, and give their analytic Jacobians in that form only; the
+linear model keeps the per-node loop and a per-state Jacobian.
 """
 
 from __future__ import annotations
@@ -60,13 +60,6 @@ def _pendulum_rhs(x, t, p):
     return np.array([v, -p.a * v + drive * math.sin(theta - math.pi)])
 
 
-def _pendulum_jac(x, t, p):
-    theta = x[0]
-    drive = 1.0 + p.b * math.cos(t)
-    return np.array([[0.0, 1.0],
-                     [drive * math.cos(theta - math.pi), -p.a]])
-
-
 def _pendulum_rhs_table(table, t, p):
     theta, v = table
     drive = 1.0 + p.b * np.cos(t)
@@ -87,7 +80,7 @@ def pendulum_system(p: PendulumParams, subharmonic: int = 1) -> PeriodicSystem:
     theta'' + a*theta' + (1 + b*cos t) * sin(theta) = 0 as (theta, v).
     ``subharmonic=2`` requests period-2 responses (two forcing periods).
     """
-    return PeriodicSystem(dim=2, rhs=_pendulum_rhs, jac=_pendulum_jac,
+    return PeriodicSystem(dim=2, rhs=_pendulum_rhs,
                           rhs_table=_pendulum_rhs_table,
                           jac_table=_pendulum_jac_table,
                           omega=p.omega, params=p, subharmonic=subharmonic)
@@ -288,23 +281,19 @@ def _circuit_jac_table(table, t, p):
     return blocks
 
 
-def _circuit_jac(x, t, p):
-    return _circuit_jac_table(np.reshape(x, (3, 1)), np.array([t]), p)[0]
-
-
 def circuit_system(p: CircuitParams) -> PeriodicSystem:
     """Square-wave-driven commutation circuit, states (V_C1, V_C2, i_L).
 
     The diode voltage is an implicit algebraic unknown; every rhs
     evaluation eliminates it in closed form through :func:`diode_voltage`
     (:func:`diode_voltages` in the table form) before the three
-    derivatives are assembled.  The analytic Jacobian follows from
-    dV_d/dV_lin = 1/(1 + w), and ``jac`` is the one-column view of
-    ``jac_table``.  The source jumps at the phases 0 and pi, declared as
-    the system's breakpoints.  RK4 calls the per-state rhs, which costs
-    several times less than the table form on a single state.
+    derivatives are assembled.  The analytic Jacobian, in table form
+    only, follows from dV_d/dV_lin = 1/(1 + w).  The source jumps at the
+    phases 0 and pi, declared as the system's breakpoints.  RK4 calls the
+    per-state rhs, which costs several times less than the table form on
+    a single state.
     """
-    return PeriodicSystem(dim=3, rhs=_circuit_rhs, jac=_circuit_jac,
+    return PeriodicSystem(dim=3, rhs=_circuit_rhs,
                           rhs_table=_circuit_rhs_table,
                           jac_table=_circuit_jac_table,
                           omega=p.omega, params=p, breakpoints=(0.0, math.pi))

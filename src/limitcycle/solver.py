@@ -25,6 +25,11 @@ from .system import (
 
 __all__ = ["NewtonConfig", "SolveResult", "SingularJacobianError", "newton_solve"]
 
+# a rejected line-search trial multiplies the step fraction by
+# _BACKTRACK_FACTOR; below _MIN_STEP_FRACTION the iteration gives up
+_BACKTRACK_FACTOR = 0.5
+_MIN_STEP_FRACTION = 2.0**-20
+
 
 class SingularJacobianError(RuntimeError):
     """LU factorization of the Newton matrix failed (rank deficient)."""
@@ -38,7 +43,7 @@ class SingularJacobianError(RuntimeError):
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Iteration limits and damping knobs.
+    """Residual tolerance and iteration limit.
 
     ``tol_residual=None`` resolves at solve time to
     ``1e-10 * (1 + ||F(X0)||_inf)``, scaling the target with the size of
@@ -47,8 +52,6 @@ class NewtonConfig:
 
     tol_residual: float | None = None
     max_iterations: int = 50
-    backtrack_factor: float = 0.5
-    min_step_fraction: float = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,7 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray,
 
         lam = 1.0
         accepted = False
-        while lam >= config.min_step_fraction:
+        while lam >= _MIN_STEP_FRACTION:
             X_trial = X + lam * delta
             try:
                 R_trial = residual(problem, X_trial)
@@ -129,7 +132,7 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray,
             if norm_trial < norm:
                 accepted = True
                 break
-            lam *= config.backtrack_factor
+            lam *= _BACKTRACK_FACTOR
         if not accepted:
             break
 

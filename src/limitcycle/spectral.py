@@ -40,14 +40,10 @@ class NodeGrid:
     nodes : numpy.ndarray
         Node phases ``-pi + 2*pi*j/N`` for j = 1..N, increasing, the last
         node landing exactly on pi.
-    max_exact_degree : int
-        Largest trigonometric-polynomial degree differentiated exactly,
-        (N - 1) / 2.
     """
 
     size: int
     nodes: np.ndarray = field(repr=False)
-    max_exact_degree: int
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -92,8 +88,7 @@ def equispaced_nodes(N: int) -> NodeGrid:
         raise ValueError(
             f"the periodic grid needs an odd number N >= 3 of points, got N={N}"
         )
-    return NodeGrid(size=N, nodes=equispaced_phases(N),
-                    max_exact_degree=(N - 1) // 2)
+    return NodeGrid(size=N, nodes=equispaced_phases(N))
 
 
 @lru_cache(maxsize=4)
@@ -119,28 +114,23 @@ def diff_matrix_equispaced(N: int) -> DiffMatrix:
     return DiffMatrix(entries=entries, grid=grid)
 
 
-def apply_derivative(D: DiffMatrix, x: np.ndarray, k: int = 1) -> np.ndarray:
-    """Apply the differentiation matrix k times to nodal values x.
+def apply_derivative(D: DiffMatrix, x: np.ndarray) -> np.ndarray:
+    """Apply the differentiation matrix to nodal values x.
 
     x holds nodal values along its last axis, shape (..., N); every
-    leading index is one independent vector.  k = 0 returns a copy of x.
-    Each application evaluates ``(x - x[..., :1]) @ D.T``: since D
-    annihilates constants this equals ``x @ D.T`` analytically, and it
-    keeps constant vectors exactly in the kernel in floating point as
-    well (row sums of D only cancel to rounding).
+    leading index is one independent vector.  This evaluates
+    ``(x - x[..., :1]) @ D.T``: since D annihilates constants this equals
+    ``x @ D.T`` analytically, and it keeps constant vectors exactly in
+    the kernel in floating point as well (row sums of D only cancel to
+    rounding).
     """
-    if k < 0:
-        raise ValueError(f"derivative order must be >= 0, got {k}")
     x = np.asarray(x, dtype=float)
     N = D.grid.size
     if x.ndim == 0 or x.shape[-1] != N:
         raise ValueError(
             f"value array has shape {x.shape}, expected (..., {N})"
         )
-    out = x.copy()
-    for _ in range(k):
-        out = (out - out[..., :1]) @ D.entries.T
-    return out
+    return (x - x[..., :1]) @ D.entries.T
 
 
 def trig_interpolate(grid: NodeGrid, values: np.ndarray, t) -> np.ndarray | float:

@@ -75,7 +75,9 @@ class PeriodicSystem:
     jac, column k being the state at phase k; they must agree with the
     per-state forms column by column.  The collocation layer calls them
     once over all nodes and loops over the nodes with the per-state form
-    when they are absent.  Time stepping calls the per-state forms.
+    when they are absent.  A system may give its analytic Jacobian as
+    ``jac_table`` alone, as the built-in pendulum and circuit do; ``rhs``
+    is always needed, since time stepping calls it.
     """
 
     dim: int

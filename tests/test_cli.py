@@ -99,6 +99,16 @@ class TestSolve:
             assert main(["solve", "--model", model, "--N", "3",
                          "--guess", guess]) == 2, guess
 
+    @pytest.mark.parametrize("args", [
+        ["--model", "pendulum", "--guess", "constant:inf"],
+        ["--model", "linear", "--param", "p=inf"],
+    ])
+    def test_non_finite_initial_rhs_exits_2(self, args, capsys):
+        assert main(["solve", "--N", "11"] + args) == 2
+        err = capsys.readouterr().err
+        assert "error: rhs is not finite at node index 0" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("model,param,named", [
         ("pendulum", "omega=0", "forcing frequency"),
         ("circuit", "T_period=-1e-5", "forcing frequency"),
@@ -136,6 +146,18 @@ class TestSweep:
         _, data = _read(out)
         assert np.all(data[:, 2] == np.pi)
         assert np.all(data[:, 3] == np.pi)
+
+    def test_range_into_rejected_values_truncates(self, tmp_path):
+        # omega <= 0 is rejected by the model: the branch stops short of
+        # it instead of discarding the points already traced
+        out = tmp_path / "sw.csv"
+        rc = main(["sweep", "--model", "pendulum", "--N", "21", "--guess",
+                   "pi", "--sweep", "omega=3:-1:1", "--out", str(out)])
+        assert rc == 0
+        header, data = _read(out)
+        assert header["status"] == "truncated"
+        assert data[:3, 0].tolist() == [3.0, 2.0, 1.0]
+        assert np.all(data[:, 0] > 0.0)
 
     def test_invalid_specs_exit_2(self):
         base = ["sweep", "--model", "linear", "--N", "11"]

@@ -4,12 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limitcycle.continuation import (
-    Branch,
     BranchSeedError,
-    ExtremaPoint,
     SweepConfig,
     extract_extrema,
-    extrema_along_branch,
     sweep,
 )
 from limitcycle.models import PendulumParams, linear_system, pendulum_system
@@ -22,7 +19,7 @@ def _linear_family(p):
     return CollocationProblem.build(linear_system(p), 11)
 
 
-def _cubic_family(p):
+def _cubic_family(p, N=17):
     # -x^3 - x + p*cos t: Newton needs more iterations the larger the
     # parameter jump, which exercises the adaptive step controller
     sys = PeriodicSystem(
@@ -31,21 +28,13 @@ def _cubic_family(p):
         jac=lambda x, t, _: np.array([[-3.0 * x[0] ** 2 - 1.0]]),
         omega=1.0,
     )
-    return CollocationProblem.build(sys, 17)
+    return CollocationProblem.build(sys, N)
 
 
 class TestSweepConfig:
-    def test_min_step_defaults_to_step_over_64(self):
-        cfg = SweepConfig("p", 0.0, 1.0, 0.32)
-        assert cfg.min_step == 0.32 / 64.0
-
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             SweepConfig("p", 0.0, 1.0, 0.0)
-
-    def test_rejects_min_step_above_step(self):
-        with pytest.raises(ValueError):
-            SweepConfig("p", 0.0, 1.0, 0.1, min_step=0.2)
 
     def test_rejects_empty_name(self):
         with pytest.raises(ValueError):
@@ -73,10 +62,12 @@ class TestSweep:
     def test_parameters_strictly_monotone_both_directions(self):
         up = sweep(_linear_family, np.zeros(11), SweepConfig("p", 0.0, 1.0, 0.3))
         down = sweep(_linear_family, np.zeros(11), SweepConfig("p", 1.0, 0.0, 0.3))
-        assert np.all(np.diff(up.parameters) > 0)
-        assert np.all(np.diff(down.parameters) < 0)
-        assert up.parameters[-1] == 1.0
-        assert down.parameters[-1] == 0.0
+        up_p = [p for p, _ in up.points]
+        down_p = [p for p, _ in down.points]
+        assert np.all(np.diff(up_p) > 0)
+        assert np.all(np.diff(down_p) < 0)
+        assert up_p[-1] == 1.0
+        assert down_p[-1] == 0.0
 
     def test_degenerate_range_gives_single_point(self):
         br = sweep(_linear_family, np.zeros(11), SweepConfig("p", 1.5, 1.5, 0.25))
@@ -106,15 +97,35 @@ class TestSweep:
         assert br.status == "truncated"
         assert len(br.points) == 1
 
-    def test_nonadaptive_truncates_on_first_failure(self):
-        br = sweep(
-            _linear_family,
-            np.zeros(11),
-            SweepConfig("p", 0.0, 1.0, 0.25, adaptive=False),
-            NewtonConfig(max_iterations=0),
-        )
+    def test_step_halves_down_to_a_64th_then_truncates(self):
+        # up to p = 1 the linear model converges in the one Newton
+        # iteration allowed; beyond it the cubic model cannot, whatever
+        # the step, so the step halves from 1 to its floor 1/64
+        trials = []
+
+        def family(p):
+            trials.append(p)
+            return _linear_family(p) if p <= 1.0 else _cubic_family(p, 11)
+
+        br = sweep(family, np.zeros(11), SweepConfig("p", 0.0, 3.0, 1.0),
+                   NewtonConfig(max_iterations=1))
         assert br.status == "truncated"
-        assert len(br.points) == 1
+        assert [p for p, _ in br.points] == [0.0, 1.0]
+        assert [p - 1.0 for p in trials[2:]] == [2.0**-k for k in range(7)]
+
+    @pytest.mark.parametrize("rejected", [
+        lambda p: pendulum_system(PendulumParams(omega=-p)),
+        lambda p: linear_system(np.inf),
+    ], ids=["factory_raises_value_error", "rhs_not_finite_at_warm_start"])
+    def test_rejected_parameter_counts_as_failed_step(self, rejected):
+        def family(p):
+            if p > 1.0:
+                return CollocationProblem.build(rejected(p), 11)
+            return _linear_family(p)
+
+        br = sweep(family, np.zeros(11), SweepConfig("p", 0.0, 2.0, 0.5))
+        assert br.status == "truncated"
+        assert [p for p, _ in br.points] == [0.0, 0.5, 1.0]
 
     def test_adaptive_halving_recovers_and_completes(self):
         # the full jump to p=2 exceeds the iteration budget; halving to
@@ -127,15 +138,6 @@ class TestSweep:
         )
         assert br.status == "completed"
         assert [p for p, _ in br.points] == [0.0, 1.0, 2.0]
-
-    def test_provenance_recorded(self):
-        br = sweep(
-            _linear_family,
-            np.zeros(11),
-            SweepConfig("p", 1.0, 1.0, 0.1),
-            provenance="constant:0",
-        )
-        assert br.provenance == "constant:0"
 
     def test_pendulum_constant_branch_survives_sweep(self):
         def family(b):
@@ -237,17 +239,3 @@ class TestExtractExtrema:
         assert hi >= lo
         assert hi >= np.max(x) - 1e-12
         assert lo <= np.min(x) + 1e-12
-
-
-class TestExtremaAlongBranch:
-    def test_points_carry_parameter_and_component(self):
-        grid = equispaced_nodes(11)
-        br = sweep(_linear_family, np.zeros(11), SweepConfig("p", 0.5, 1.0, 0.5))
-        pts = extrema_along_branch(grid, br, 0)
-        assert [e.parameter for e in pts] == [0.5, 1.0]
-        assert all(e.component_index == 0 for e in pts)
-        assert abs(pts[1].max_value - 1.0 / np.sqrt(2.0)) <= 1e-12
-
-    def test_extrema_point_enforces_ordering(self):
-        with pytest.raises(ValueError):
-            ExtremaPoint(1.0, 0, -1.0, 2.0)
