@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 
@@ -103,6 +104,14 @@ def _parse_number(text: str, cast, what: str):
         raise _UsageError(f"{what} {text!r} is not a valid number")
 
 
+def _parse_finite(text: str, what: str) -> float:
+    """float(text), or a usage error if it is malformed or not finite."""
+    value = _parse_number(text, float, what)
+    if not math.isfinite(value):
+        raise _UsageError(f"{what} {text!r} is not finite")
+    return value
+
+
 def _transient_config(cycles: int, steps: int, x0: np.ndarray) -> TransientConfig:
     try:
         return TransientConfig(cycles=cycles, steps_per_cycle=steps,
@@ -117,7 +126,7 @@ def _parse_param_items(items) -> dict:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise _UsageError(f"parameter override {item!r} is not NAME=VALUE")
-        out[name] = _parse_number(value, float, f"parameter {name!r}")
+        out[name] = _parse_finite(value, f"parameter {name!r}")
     return out
 
 
@@ -334,9 +343,9 @@ def cmd_solve(args) -> int:
     return 0 if result.converged else 1
 
 
-def _parse_sweep_spec(spec: str):
+def _parse_sweep_spec(spec: str) -> SweepConfig:
     name, sep, rng = spec.partition("=")
-    if not sep or not name:
+    if not sep:
         raise _UsageError(f"sweep spec {spec!r} is not NAME=START:END:STEP")
     parts = rng.split(":")
     if len(parts) != 3:
@@ -347,15 +356,17 @@ def _parse_sweep_spec(spec: str):
         raise _UsageError(f"sweep range {rng!r} has non-numeric entries")
     if start == end:
         raise _UsageError("sweep range is empty (start equals end)")
-    if step <= 0.0:
-        raise _UsageError("sweep step must be positive")
-    return name, start, end, step
+    try:
+        return SweepConfig(name, start, end, step)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
 
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     params, system, problem = _instantiate(cfg)
-    name, start, end, step = _parse_sweep_spec(args.sweep)
+    spec = _parse_sweep_spec(args.sweep)
+    name = spec.parameter_name
     valid = {f.name for f in dataclasses.fields(params)}
     if name not in valid:
         raise _UsageError(f"model {cfg.model!r} has no parameter {name!r}")
@@ -374,7 +385,7 @@ def cmd_sweep(args) -> int:
 
     X0 = _initial_guess(cfg, system, problem)
     try:
-        branch = sweep(family, X0, SweepConfig(name, start, end, step))
+        branch = sweep(family, X0, spec)
     except BranchSeedError as exc:
         print(f"seed solve failed at {name}={exc.parameter}", file=sys.stderr)
         return 1
@@ -451,7 +462,7 @@ def cmd_simulate(args) -> int:
         2500 if cfg.model == "circuit" else 256
     )
     if args.initial is not None:
-        x0 = np.array([_parse_number(tok, float, "initial state value")
+        x0 = np.array([_parse_finite(tok, "initial state value")
                        for tok in args.initial.split(",")])
         if x0.shape != (system.dim,):
             raise _UsageError(

@@ -50,7 +50,8 @@ class SweepConfig:
 
     A failed solve halves the step (down to step/64) and retries; after a
     success the step grows back toward ``step``.  ``start == end`` is
-    allowed and yields a single-point branch.
+    allowed and yields a single-point branch.  start, end and step must
+    be finite.
     """
 
     parameter_name: str
@@ -61,6 +62,8 @@ class SweepConfig:
     def __post_init__(self):
         if not self.parameter_name:
             raise ValueError("parameter_name must be a nonempty identifier")
+        if not all(np.isfinite((self.start, self.end, self.step))):
+            raise ValueError("sweep start, end and step must be finite")
         if not (self.step > 0.0):
             raise ValueError("step must be positive")
 
@@ -70,9 +73,9 @@ class Branch:
     """Converged points of one sweep, in march order.
 
     ``status`` is "completed" when the sweep reached ``end`` and
-    "truncated" when it stopped early, the step having shrunk to its
-    floor.  Only converged points are stored, so parameter values are
-    strictly monotone.
+    "truncated" when it stopped early: the step shrank to its floor, or
+    a step too small to move the parameter was tried.  Only converged
+    points are stored, so parameter values are strictly monotone.
     """
 
     points: tuple[tuple[float, SolveResult], ...]
@@ -102,9 +105,6 @@ def sweep(
     points = [(p, seed)]
     X = seed.X
 
-    if cfg.end == cfg.start:
-        return Branch(tuple(points), "completed")
-
     direction = 1.0 if cfg.end > cfg.start else -1.0
     min_step = cfg.step / _MIN_STEP_DIVISOR
     h = cfg.step
@@ -113,6 +113,8 @@ def sweep(
         trial_h = min(h, remaining)
         # land exactly on the endpoint instead of accumulating roundoff
         p_trial = cfg.end if trial_h == remaining else p + direction * trial_h
+        if p_trial == p:
+            return Branch(tuple(points), "truncated")
         try:
             result = newton_solve(problem_family(p_trial), X, ncfg)
         except (ValueError, RhsEvaluationError):
@@ -121,8 +123,7 @@ def sweep(
             p = p_trial
             X = result.X
             points.append((p, result))
-            if h < cfg.step:
-                h = min(2.0 * h, cfg.step)
+            h = min(2.0 * h, cfg.step)
         else:
             if trial_h <= min_step:
                 return Branch(tuple(points), "truncated")

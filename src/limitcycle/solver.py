@@ -25,10 +25,9 @@ from .system import (
 
 __all__ = ["NewtonConfig", "SolveResult", "SingularJacobianError", "newton_solve"]
 
-# a rejected line-search trial multiplies the step fraction by
-# _BACKTRACK_FACTOR; below _MIN_STEP_FRACTION the iteration gives up
-_BACKTRACK_FACTOR = 0.5
-_MIN_STEP_FRACTION = 2.0**-20
+# the line search tries the step fractions 1, 1/2, ..., 2**-20 in turn;
+# when all are rejected the iteration gives up
+_STEP_FRACTIONS = tuple(0.5**k for k in range(21))
 
 
 class SingularJacobianError(RuntimeError):
@@ -56,7 +55,7 @@ class NewtonConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of a Newton run; always carries the best iterate seen."""
+    """Outcome of a Newton run; always carries the last accepted iterate."""
 
     X: np.ndarray = field(repr=False)
     residual_norm: float
@@ -81,7 +80,9 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray,
         raise ValueError(
             f"initial state has shape {X.shape}, expected ({problem.size},)"
         )
-    F = rhs_stack(problem, X)
+    # a non-finite F is reported just below, not warned about
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        F = rhs_stack(problem, X)
     bad = np.flatnonzero(~np.isfinite(F))
     if bad.size:
         # the tolerance below, and every norm comparison, would be inf or nan
@@ -95,56 +96,36 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray,
 
     R = residual_from_rhs(problem, X, F)
     norm = float(np.max(np.abs(R)))
-    best_X, best_norm = X.copy(), norm
     history: list[tuple[int, float, float]] = []
-
-    if norm <= tol:
-        return SolveResult(X=X, residual_norm=norm, iterations=0,
-                           converged=True, tol=tol, step_history=())
-
-    for it in range(1, config.max_iterations + 1):
+    while norm > tol and len(history) < config.max_iterations:
+        it = len(history) + 1
         J = jacobian(problem, X)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LinAlgWarning)
-                # J is Fortran-ordered and not used again: factor in place
-                lu, piv = lu_factor(J, overwrite_a=True)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(it) from exc
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            # J is Fortran-ordered and not used again: factor in place
+            lu, piv = lu_factor(J, overwrite_a=True)
         # rank deficiency surfaces as a negligible pivot on the U diagonal
         pivots = np.abs(np.diag(lu))
         if pivots.min() <= J.shape[0] * np.finfo(float).eps * pivots.max():
             raise SingularJacobianError(it)
         delta = lu_solve((lu, piv), -R)
 
-        lam = 1.0
-        accepted = False
-        while lam >= _MIN_STEP_FRACTION:
+        for lam in _STEP_FRACTIONS:
             X_trial = X + lam * delta
             try:
                 R_trial = residual(problem, X_trial)
             except RhsEvaluationError:
                 # a trial outside f's domain is rejected like one that
                 # fails to decrease the residual
-                norm_trial = np.inf
-            else:
-                norm_trial = float(np.max(np.abs(R_trial)))
+                continue
+            norm_trial = float(np.max(np.abs(R_trial)))
             if norm_trial < norm:
-                accepted = True
                 break
-            lam *= _BACKTRACK_FACTOR
-        if not accepted:
+        else:
             break
-
         X, R, norm = X_trial, R_trial, norm_trial
         history.append((it, norm, lam))
-        if norm < best_norm:
-            best_X, best_norm = X.copy(), norm
-        if norm <= tol:
-            return SolveResult(X=X, residual_norm=norm, iterations=it,
-                               converged=True, tol=tol,
-                               step_history=tuple(history))
 
-    return SolveResult(X=best_X, residual_norm=best_norm,
-                       iterations=len(history), converged=best_norm <= tol,
-                       tol=tol, step_history=tuple(history))
+    return SolveResult(X=X, residual_norm=norm, iterations=len(history),
+                       converged=norm <= tol, tol=tol,
+                       step_history=tuple(history))

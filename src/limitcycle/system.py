@@ -137,30 +137,42 @@ def _one_sided_phases(breakpoint: float) -> tuple[float, float]:
     return before, after
 
 
-def _find_jumps(phases: np.ndarray, breakpoints, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the nodes whose forcing phase is a breakpoint, and the
-    (before, after) one-sided phases of each one's breakpoint."""
+def _eval_plan(phases: np.ndarray, breakpoints,
+               s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The node index and forcing phase of every column f is evaluated at.
+
+    Columns 0..N-1 are the nodes at their forcing phases, except that a
+    node on a breakpoint takes the phase just before it; then comes each
+    such jump node again, at the phase just after its breakpoint.
+    """
+    N = phases.size
     if not breakpoints:
-        return np.zeros(0, dtype=int), np.zeros((0, 2))
+        # the common case, cheap: a sweep builds a problem at every point
+        return np.arange(N), phases
     bps = np.asarray(breakpoints, dtype=float)
     # the wrapped phases s * t_j round to within about 2*s ulps of pi
     tol = 4.0 * s * np.spacing(np.pi)
     on = np.abs(_wrap_phase(phases[:, None] - bps[None, :])) <= tol
     rows, cols = np.nonzero(on)
-    nodes, first = np.unique(rows, return_index=True)
-    sides = [_one_sided_phases(bps[k]) for k in cols[first]]
-    return nodes, np.array(sides, dtype=float).reshape(-1, 2)
+    jumps, first = np.unique(rows, return_index=True)
+    sides = np.array([_one_sided_phases(bps[k]) for k in cols[first]],
+                     dtype=float).reshape(-1, 2)
+    node_phases = phases.copy()
+    node_phases[jumps] = sides[:, 0]
+    return (np.concatenate([np.arange(N), jumps]),
+            np.concatenate([node_phases, sides[:, 1]]))
 
 
 @dataclass(frozen=True)
 class CollocationProblem:
     """A PeriodicSystem discretized on a grid, ready for Newton iteration.
 
-    ``jump_nodes`` are the node indices whose forcing phase is one of the
-    system's breakpoints, and row i of ``jump_phases`` holds the phases
-    just before and just after that node's breakpoint.  ``eval_phases``
-    are the forcing phases with each jump node's replaced by its phase
-    just before.
+    f is evaluated at column k of ``table[:, eval_nodes]``, table being the
+    (m, N) node values, with the forcing phase ``eval_phases[k]``: first
+    the N nodes, then each node
+    whose forcing phase is one of the system's breakpoints (a jump node)
+    once more.  A jump node's first column takes the phase just before its
+    breakpoint and its second the phase just after.
     """
 
     system: PeriodicSystem
@@ -168,16 +180,11 @@ class CollocationProblem:
     D: DiffMatrix
     omega_eff: float
     forcing_phases: np.ndarray = field(repr=False)
-    jump_nodes: np.ndarray = field(repr=False)
-    jump_phases: np.ndarray = field(repr=False)
-    eval_phases: np.ndarray = field(init=False, repr=False)
+    eval_nodes: np.ndarray = field(repr=False)
+    eval_phases: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        eval_phases = self.forcing_phases.copy()
-        eval_phases[self.jump_nodes] = self.jump_phases[:, 0]
-        object.__setattr__(self, "eval_phases", eval_phases)
-        for arr in (self.forcing_phases, self.jump_nodes, self.jump_phases,
-                    eval_phases):
+        for arr in (self.forcing_phases, self.eval_nodes, self.eval_phases):
             arr.setflags(write=False)
 
     @classmethod
@@ -188,74 +195,62 @@ class CollocationProblem:
             phases = D.grid.nodes.copy()
         else:
             phases = _wrap_phase(s * D.grid.nodes)
-        jump_nodes, jump_phases = _find_jumps(phases, system.breakpoints, s)
+        eval_nodes, eval_phases = _eval_plan(phases, system.breakpoints, s)
         return cls(system=system, grid=D.grid, D=D,
                    omega_eff=system.omega / s, forcing_phases=phases,
-                   jump_nodes=jump_nodes, jump_phases=jump_phases)
+                   eval_nodes=eval_nodes, eval_phases=eval_phases)
 
     @property
     def size(self) -> int:
         return self.system.dim * self.grid.size
 
-
-def _table_form(system: PeriodicSystem, kind: str):
-    """The system's table form of ``kind`` ("rhs" or "jac"), or, when it
-    has none, a loop over the columns with its per-state form."""
-    table_fn = getattr(system, f"{kind}_table")
-    if table_fn is not None:
-        return table_fn
-    fn = getattr(system, kind)
-    shape = (system.dim,) if kind == "rhs" else (system.dim, system.dim)
-
-    def per_node(table, phases, params):
-        out = np.empty((table.shape[1],) + shape)
-        for j in range(table.shape[1]):
-            try:
-                out[j] = fn(table[:, j], phases[j], params)
-            except Exception as exc:
-                raise RhsEvaluationError(j, str(exc)) from exc
-        return out.T if kind == "rhs" else out
-
-    return per_node
-
-
-def _call_table(fn, table, phases, params, kind, nodes=None) -> np.ndarray:
-    """fn over the columns of ``table``, node-major: (K, m) for an rhs,
-    (K, m, m) for a Jacobian.  A failure is raised as RhsEvaluationError
-    with the node index of the failing column, ``nodes[column]``."""
-    try:
-        values = np.array(fn(table, phases, params), dtype=float)
-    except RhsEvaluationError as exc:
-        node = exc.node
-        if node is not None and nodes is not None:
-            node = int(nodes[node])
-        cause = exc.__cause__ or exc
-    except Exception as exc:
-        node, cause = None, exc
-    else:
-        return values.T if kind == "rhs" else values
-    where = "over a node table" if node is None else f"at node index {node}"
-    raise RhsEvaluationError(
-        node, f"{kind} evaluation failed {where}: {cause}") from cause
+    @property
+    def jump_nodes(self) -> np.ndarray:
+        """The nodes whose forcing phase is a breakpoint."""
+        return self.eval_nodes[self.grid.size:]
 
 
 def _node_values(problem: CollocationProblem, table: np.ndarray,
                  kind: str) -> np.ndarray:
     """f (kind "rhs") or its Jacobian blocks (kind "jac") at every node of
-    an (m, N) table, node-major, in one table call.
+    an (m, N) table, node-major: (N, m) or (N, m, m).
 
-    A jump node gets one more call, at the phase just after its
-    breakpoint, and the mean of its two one-sided values.
+    One call of the system's table form over the evaluation plan, or of
+    its per-state form at each column when it has no table form; a jump
+    node gets the mean of its two columns.  A failure is raised as
+    RhsEvaluationError with the node index of the failing column.
     """
-    fn = _table_form(problem.system, kind)
-    params = problem.system.params
-    out = _call_table(fn, table, problem.eval_phases, params, kind)
-    jumps = problem.jump_nodes
-    if jumps.size:
-        after = _call_table(fn, table[:, jumps], problem.jump_phases[:, 1],
-                            params, kind, jumps)
-        out[jumps] = 0.5 * (out[jumps] + after)
-    return out
+    system, params = problem.system, problem.system.params
+    N, nodes, phases = problem.grid.size, problem.eval_nodes, problem.eval_phases
+    columns = table if nodes.size == N else table[:, nodes]
+    table_fn = getattr(system, f"{kind}_table")
+    try:
+        if table_fn is not None:
+            values = np.array(table_fn(columns, phases, params), dtype=float)
+            if kind == "rhs":
+                values = values.T
+        else:
+            fn = getattr(system, kind)
+            shape = (system.dim,) if kind == "rhs" else (system.dim, system.dim)
+            values = np.empty((nodes.size,) + shape)
+            for j in range(nodes.size):
+                try:
+                    values[j] = fn(columns[:, j], phases[j], params)
+                except Exception as exc:
+                    raise RhsEvaluationError(j, str(exc)) from exc
+    except RhsEvaluationError as exc:
+        column, cause = exc.node, exc.__cause__ or exc
+    except Exception as exc:
+        column, cause = None, exc
+    else:
+        jumps = nodes[N:]
+        if jumps.size:
+            values[jumps] = 0.5 * (values[jumps] + values[N:])
+        return values[:N]
+    node = None if column is None else int(nodes[column])
+    where = "over a node table" if node is None else f"at node index {node}"
+    raise RhsEvaluationError(
+        node, f"{kind} evaluation failed {where}: {cause}") from cause
 
 
 def rhs_stack(problem: CollocationProblem, X: np.ndarray) -> np.ndarray:

@@ -101,13 +101,29 @@ class TestSolve:
 
     @pytest.mark.parametrize("args", [
         ["--model", "pendulum", "--guess", "constant:inf"],
-        ["--model", "linear", "--param", "p=inf"],
     ])
-    def test_non_finite_initial_rhs_exits_2(self, args, capsys):
+    def test_non_finite_initial_rhs_exits_2(self, args, capsys, recwarn):
         assert main(["solve", "--N", "11"] + args) == 2
         err = capsys.readouterr().err
         assert "error: rhs is not finite at node index 0" in err
         assert "Traceback" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("args,named", [
+        (["simulate", "--model", "pendulum", "--initial", "inf,0",
+          "--cycles", "2"], "initial state value 'inf'"),
+        (["simulate", "--model", "linear", "--param", "p=inf",
+          "--cycles", "2"], "parameter 'p' 'inf'"),
+        (["solve", "--model", "linear", "--param", "p=inf",
+          "--guess", "rk4:2"], "parameter 'p' 'inf'"),
+        (["solve", "--model", "linear", "--param", "p=inf"],
+         "parameter 'p' 'inf'"),
+    ], ids=["simulate-initial", "simulate-param", "solve-rk4-param",
+            "solve-param"])
+    def test_non_finite_numbers_exit_2(self, args, named, capsys):
+        # refused where the CLI parses them, before any rhs evaluation
+        assert main(args + ["--N", "11"]) == 2
+        assert capsys.readouterr().err == f"error: {named} is not finite\n"
 
     @pytest.mark.parametrize("model,param,named", [
         ("pendulum", "omega=0", "forcing frequency"),
@@ -163,6 +179,8 @@ class TestSweep:
         base = ["sweep", "--model", "linear", "--N", "11"]
         assert main(base + ["--sweep", "p=1:1:0.5"]) == 2
         assert main(base + ["--sweep", "p=0:1:0"]) == 2
+        assert main(base + ["--sweep", "p=0:nan:0.5"]) == 2
+        assert main(base + ["--sweep", "p=0:inf:0.5"]) == 2
         assert main(base + ["--sweep", "p=0:1"]) == 2
         assert main(base + ["--sweep", "q=0:1:0.5"]) == 2
         assert main(base + ["--sweep", "p=0:1:0.5", "--component", "3"]) == 2

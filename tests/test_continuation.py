@@ -40,6 +40,14 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig("", 0.0, 1.0, 0.1)
 
+    @pytest.mark.parametrize("start,end,step", [
+        (np.nan, 1.0, 0.1), (0.0, np.nan, 0.1), (0.0, np.inf, 0.1),
+        (-np.inf, 0.0, 0.1), (0.0, 1.0, np.inf), (0.0, 1.0, np.nan),
+    ])
+    def test_rejects_non_finite_range(self, start, end, step):
+        with pytest.raises(ValueError, match="finite"):
+            SweepConfig("p", start, end, step)
+
 
 class TestSweep:
     def test_linear_branch_extrema_scale_with_parameter(self):
@@ -74,6 +82,12 @@ class TestSweep:
         assert br.status == "completed"
         assert len(br.points) == 1
         assert br.points[0][0] == 1.5
+
+    def test_step_that_cannot_move_the_parameter_truncates(self):
+        # 1 + 1e-20 == 1: the branch must not repeat the seed point
+        br = sweep(_linear_family, np.zeros(11), SweepConfig("p", 1.0, 2.0, 1e-20))
+        assert br.status == "truncated"
+        assert [p for p, _ in br.points] == [1.0]
 
     def test_seed_failure_raises_with_parameter(self):
         with pytest.raises(BranchSeedError) as info:

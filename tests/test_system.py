@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ class TestBreakpoints:
         X = np.random.default_rng(3).standard_normal(N)
         j = N - 1
         assert prob.grid.nodes[j] == np.pi
-        before, after = prob.jump_phases[0]
+        before, after = prob.eval_phases[[j, N]]
         assert square_wave(before, 1.0) == 1.0
         assert square_wave(after, 1.0) == -1.0
         x_j = X[j:j + 1]
@@ -296,7 +297,8 @@ class TestBreakpoints:
         prob = CollocationProblem.build(sys2, 11)
         assert prob.jump_nodes.tolist() == [10]
         assert prob.forcing_phases[10] == 0.0
-        before, after = prob.jump_phases[0]
+        assert prob.eval_nodes.tolist() == list(range(11)) + [10]
+        before, after = prob.eval_phases[[10, 11]]
         assert before < 0.0 < after
 
     def test_subharmonic_phases_a_few_ulps_off_still_match(self):
@@ -307,12 +309,13 @@ class TestBreakpoints:
         prob = CollocationProblem.build(sys3, 9)
         assert np.any(prob.forcing_phases[[2, 5, 8]] != np.pi)
         assert prob.jump_nodes.tolist() == [2, 5, 8]
-        np.testing.assert_array_equal(prob.jump_phases[:, 0],
+        np.testing.assert_array_equal(prob.eval_phases[[2, 5, 8]],
                                       np.nextafter(np.pi, 0.0))
 
     def test_one_sided_phases_stay_in_the_period(self):
         prob = CollocationProblem.build(circuit_system(CircuitParams()), 251)
-        (before, after), = prob.jump_phases
+        assert prob.jump_nodes.tolist() == [250]
+        before, after = prob.eval_phases[[250, 251]]
         assert before == np.nextafter(np.pi, 0.0)
         assert -np.pi < after < -3.14
 
@@ -364,7 +367,7 @@ class TestTableForm:
                            rng.uniform(-2, 2, N)])
         R = unflatten(residual(prob, flatten(table)), 3, N)
         deriv = prob.omega_eff * apply_derivative(prob.D, table)
-        before, after = prob.jump_phases[0]
+        before, after = prob.eval_phases[[j, N]]
         sides = [sys.rhs(table[:, j], phase, p) for phase in (before, after)]
         expected = deriv[:, j] - 0.5 * (sides[0] + sides[1])
         scale = np.max(np.abs(deriv[:, j])) + np.max(np.abs(sides))
@@ -414,6 +417,75 @@ class TestTableForm:
         assert r.converged
         assert r.step_history[0][2] == 0.5
         np.testing.assert_allclose(r.X, 0.0, rtol=0, atol=1e-9)
+
+
+def _one_sided_mean_loop(prob, X):
+    # f node by node, a node on a breakpoint taking the mean of f one ulp
+    # before and one ulp after it
+    F = np.empty(prob.grid.size)
+    for j, t in enumerate(prob.forcing_phases):
+        x = X[j:j + 1]
+        on = [b for b in prob.system.breakpoints
+              if abs(math.remainder(t - b, 2.0 * math.pi)) < 1e-9]
+        if not on:
+            F[j] = _square_rhs(x, t, None)[0]
+            continue
+        before = np.nextafter(on[0], -np.inf)
+        after = np.nextafter(on[0], np.inf)
+        if after > np.pi:
+            after -= 2.0 * np.pi
+        F[j] = 0.5 * (_square_rhs(x, before, None)[0]
+                      + _square_rhs(x, after, None)[0])
+    return F
+
+
+def _counted_circuit():
+    # the circuit with its table forms wrapped to count their calls
+    sys = circuit_system(CircuitParams())
+    calls = Counter()
+
+    def counted(kind, fn):
+        def table_fn(*args):
+            calls[kind] += 1
+            return fn(*args)
+        return table_fn
+
+    return dataclasses.replace(
+        sys, rhs_table=counted("rhs_table", sys.rhs_table),
+        jac_table=counted("jac_table", sys.jac_table)), calls
+
+
+class TestEvaluationPlan:
+    @pytest.mark.parametrize("evaluate,expected", [
+        (residual, {"rhs_table": 1}),
+        (jacobian, {"jac_table": 1}),
+        (lambda prob, X: jacobian(prob, X, force_fd=True), {"rhs_table": 4}),
+    ], ids=["residual", "jacobian", "fd_jacobian"])
+    def test_one_model_call_per_evaluation(self, evaluate, expected):
+        # the node at pi is a jump node, evaluated in the same call
+        sys, calls = _counted_circuit()
+        N = 11
+        prob = CollocationProblem.build(sys, N)
+        assert prob.jump_nodes.tolist() == [N - 1]
+        rng = np.random.default_rng(8)
+        X = flatten(np.vstack([rng.uniform(2, 5, N), rng.uniform(-1, 1, N),
+                               rng.uniform(-2, 2, N)]))
+        evaluate(prob, X)
+        assert calls == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(1, 30).map(lambda k: 2 * k + 1),
+           s=st.sampled_from([1, 2, 3]),
+           breakpoints=st.sets(st.sampled_from([0.0, np.pi])),
+           seed=st.integers(0, 10**6))
+    def test_rhs_stack_is_the_node_loop_with_jump_means(self, N, s,
+                                                        breakpoints, seed):
+        sys = dataclasses.replace(_square_system(tuple(sorted(breakpoints))),
+                                  jac=None, subharmonic=s)
+        prob = CollocationProblem.build(sys, N)
+        X = np.random.default_rng(seed).standard_normal(N)
+        np.testing.assert_array_equal(rhs_stack(prob, X),
+                                      _one_sided_mean_loop(prob, X))
 
 
 class TestValidation:
