@@ -7,7 +7,8 @@ and ``matrix`` (dump the differentiation matrix).  All output is CSV
 with a ``#``-prefixed header block; numbers carry 17 significant
 digits so files round-trip bitwise.
 
-Exit codes: 0 success, 1 solver did not converge, 2 invalid input.
+Exit codes: 0 success, 1 solver did not converge or failed (a diverging
+transient, a singular Newton matrix), 2 invalid input.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .models import (
     linear_system,
     pendulum_system,
 )
-from .solver import newton_solve
+from .solver import SingularJacobianError, newton_solve
 from .spectral import (
     diff_matrix_equispaced,
     equispaced_nodes,
@@ -51,7 +52,12 @@ from .system import (
     node_derivatives,
     unflatten,
 )
-from .warmstart import TransientConfig, guess_near_pi, rk4_transient
+from .warmstart import (
+    TransientConfig,
+    TransientDivergenceError,
+    guess_near_pi,
+    rk4_transient,
+)
 
 __all__ = ["main", "RunConfig"]
 
@@ -560,6 +566,9 @@ def main(argv=None) -> int:
     except (_UsageError, RhsEvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (TransientDivergenceError, SingularJacobianError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

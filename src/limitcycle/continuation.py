@@ -14,7 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from .solver import NewtonConfig, SolveResult, newton_solve
+from .solver import (
+    NewtonConfig,
+    SingularJacobianError,
+    SolveResult,
+    newton_solve,
+)
 from .spectral import (
     NodeGrid,
     apply_derivative,
@@ -94,8 +99,9 @@ def sweep(
     problem at that value.  Raises BranchSeedError when the very first
     solve fails; later failures shrink the step and, at its floor,
     truncate the branch instead.  A later value at which
-    ``problem_family`` raises ValueError (the model rejects it) or f is
-    not finite at the warm start counts as a failed solve.
+    ``problem_family`` raises ValueError (the model rejects it), f is
+    not finite at the warm start or the Newton matrix is singular counts
+    as a failed solve.
     """
     ncfg = newton_cfg if newton_cfg is not None else NewtonConfig()
     p = float(cfg.start)
@@ -117,7 +123,7 @@ def sweep(
             return Branch(tuple(points), "truncated")
         try:
             result = newton_solve(problem_family(p_trial), X, ncfg)
-        except (ValueError, RhsEvaluationError):
+        except (ValueError, RhsEvaluationError, SingularJacobianError):
             result = None
         if result is not None and result.converged:
             p = p_trial

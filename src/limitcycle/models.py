@@ -3,10 +3,12 @@ circuit, and a linear model with a known closed-form steady state.
 
 All right-hand sides use the (x, t, params) calling convention of
 :class:`~limitcycle.system.PeriodicSystem`, with t the forcing phase in
-(-pi, pi].  The pendulum and the circuit also have the table form
-(table (m, K), phases (K,), params) that the collocation layer calls once
-over all nodes, and give their analytic Jacobians in that form only; the
-linear model keeps the per-node loop and a per-state Jacobian.
+(-pi, pi]; the per-state forms index x and return a tuple of floats,
+which RK4 steps on without numpy.  The pendulum and the circuit also
+have the table form (table (m, K), phases (K,), params) that the
+collocation layer calls once over all nodes, and give their analytic
+Jacobians in that form only; the linear model keeps the per-node loop
+and a per-state Jacobian.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,7 +60,7 @@ def _pendulum_rhs(x, t, p):
     drive = 1.0 + p.b * math.cos(t)
     # sin(theta) written as -sin(theta - pi): identical analytically, and
     # the inverted state theta = pi is then an exact equilibrium in floats.
-    return np.array([v, -p.a * v + drive * math.sin(theta - math.pi)])
+    return v, -p.a * v + drive * math.sin(theta - math.pi)
 
 
 def _pendulum_rhs_table(table, t, p):
@@ -98,7 +101,7 @@ class LinearParams:
 
 
 def _linear_rhs(x, t, p):
-    return np.array([-x[0] + p.p * math.cos(t)])
+    return (-x[0] + p.p * math.cos(t),)
 
 
 def _linear_jac(x, t, p):
@@ -119,6 +122,20 @@ def linear_system(p: float | LinearParams = 1.0) -> PeriodicSystem:
 
 # ---------------------------------------------------------------------------
 # diode commutation circuit
+
+
+class _CircuitConstants(NamedTuple):
+    """Constants derived from :class:`CircuitParams`, computed once."""
+
+    a: float          # eta * V_T
+    isr: float        # (R1 + R2) * i_s
+    log_isr_a: float  # ln(isr / a)
+    c1_rsum: float    # C1 * (R1 + R2), the x1' denominator
+    c2_r34: float     # C2 * (R3 + R4), the x2' denominator
+    r34: float        # R3 + R4
+    g2: float         # R4 / (R3 + R4), the x3' coefficient of x2
+    g3: float         # R3 * R4 / (R3 + R4), the x3' coefficient of x3
+    is_r1: float      # i_s * R1
 
 
 @dataclass(frozen=True)
@@ -161,6 +178,21 @@ class CircuitParams:
     def omega(self) -> float:
         return 2.0 * math.pi / self.T_period
 
+    @functools.cached_property
+    def derived(self) -> _CircuitConstants:
+        """The constants every rhs, diode and Jacobian evaluation uses,
+        computed on first use and kept with the instance."""
+        a = self.eta * self.thermal_voltage
+        rsum = self.R1 + self.R2
+        isr = rsum * self.i_s
+        r34 = self.R3 + self.R4
+        return _CircuitConstants(a=a, isr=isr, log_isr_a=math.log(isr / a),
+                                 c1_rsum=self.C1 * rsum,
+                                 c2_r34=self.C2 * r34, r34=r34,
+                                 g2=self.R4 / r34,
+                                 g3=self.R3 * self.R4 / r34,
+                                 is_r1=self.i_s * self.R1)
+
 
 def square_wave(t: float, amplitude: float) -> float:
     """Square wave amplitude * sgn(t) on the phase t, with sgn(0) = +1.
@@ -180,8 +212,9 @@ def diode_residual(vd: float, x1: float, x3: float, vs: float,
 
     g is strictly decreasing in V_d, so the root is unique.
     """
-    e = math.exp(min(vd / (p.eta * p.thermal_voltage), 700.0))
-    return ((p.R1 + p.R2) * (vs - x1 - vd - p.i_s * p.R1 * (e - 1.0))
+    k = p.derived
+    e = math.exp(min(vd / k.a, 700.0))
+    return ((p.R1 + p.R2) * (vs - x1 - vd - k.is_r1 * (e - 1.0))
             - p.R2 * (vs - x1 - p.R1 * x3 - vd))
 
 
@@ -194,7 +227,7 @@ def _wrightomega():
 
 
 def _diode_omega(x1, x3, vs, p: CircuitParams):
-    """The setup shared by both diode finishes: (a, isr, c, w).
+    """The setup shared by both diode finishes: (c, w).
 
     With a = eta*V_T, isr = (R1+R2)*i_s and c = (Vs - x1) + R2*x3 + isr,
     g(V_d) = 0 reads c - V_d = isr*exp(V_d/a), so w = (c - V_d)/a solves
@@ -203,10 +236,9 @@ def _diode_omega(x1, x3, vs, p: CircuitParams):
     diode with series resistance, in a form that cannot overflow.
     Scalars or arrays alike.
     """
-    a = p.eta * p.thermal_voltage
-    isr = (p.R1 + p.R2) * p.i_s
-    c = (vs - x1) + p.R2 * x3 + isr
-    return a, isr, c, _wrightomega()(c / a + math.log(isr / a))
+    k = p.derived
+    c = (vs - x1) + p.R2 * x3 + k.isr
+    return c, _wrightomega()(c / k.a + k.log_isr_a)
 
 
 def diode_voltage(x1: float, x3: float, vs: float, p: CircuitParams) -> float:
@@ -216,68 +248,69 @@ def diode_voltage(x1: float, x3: float, vs: float, p: CircuitParams) -> float:
     to 0; V_d = a*ln(a*w/isr) otherwise, where c and a*w grow together
     and their difference would cancel.
     """
-    a, isr, c, w = _diode_omega(x1, x3, vs, p)
+    c, w = _diode_omega(x1, x3, vs, p)
+    k = p.derived
     # kept on math, not np.where: RK4 calls this once per rhs, and the
     # numpy form costs about five times as much on a scalar
     w = float(w)
-    return c - a * w if w <= 1.0 else a * math.log(a * w / isr)
+    return c - k.a * w if w <= 1.0 else k.a * math.log(k.a * w / k.isr)
 
 
 def diode_voltages(x1: np.ndarray, x3: np.ndarray, vs: np.ndarray,
                    p: CircuitParams) -> np.ndarray:
     """:func:`diode_voltage` elementwise over arrays."""
-    a, isr, c, w = _diode_omega(x1, x3, vs, p)
+    c, w = _diode_omega(x1, x3, vs, p)
+    k = p.derived
     # log(0) where w underflows is computed, then discarded by the where
     with np.errstate(divide="ignore"):
-        return np.where(w <= 1.0, c - a * w, a * np.log(a * w / isr))
+        return np.where(w <= 1.0, c - k.a * w, k.a * np.log(k.a * w / k.isr))
 
 
 def _circuit_derivatives(x1, x2, x3, vs, vd, e, p):
     """(x1', x2', x3') from the source vs, the diode voltage vd and
     e = exp(vd / (eta * V_T)); scalars or arrays alike."""
-    r34 = p.R3 + p.R4
-    dx1 = (vs - x1 - p.R1 * x3 - vd) / (p.C1 * (p.R1 + p.R2))
-    dx2 = (-x2 + p.R4 * x3) / (p.C2 * r34)
-    dx3 = (vs - (p.R4 / r34) * x2 - (p.R3 * p.R4 / r34) * x3 - vd
-           - p.i_s * p.R1 * (e - 1.0)) / p.L
+    k = p.derived
+    dx1 = (vs - x1 - p.R1 * x3 - vd) / k.c1_rsum
+    dx2 = (-x2 + p.R4 * x3) / k.c2_r34
+    dx3 = (vs - k.g2 * x2 - k.g3 * x3 - vd - k.is_r1 * (e - 1.0)) / p.L
     return dx1, dx2, dx3
 
 
 def _circuit_rhs(x, t, p):
     x1, x2, x3 = x
     vs = square_wave(t, p.A_m)
+    # through the module global, so that a replaced diode_voltage applies
     vd = diode_voltage(x1, x3, vs, p)
-    e = math.exp(min(vd / (p.eta * p.thermal_voltage), 700.0))
-    return np.array(_circuit_derivatives(x1, x2, x3, vs, vd, e, p))
+    e = math.exp(min(vd / p.derived.a, 700.0))
+    return _circuit_derivatives(x1, x2, x3, vs, vd, e, p)
 
 
 def _circuit_rhs_table(table, t, p):
     x1, x2, x3 = table
     vs = np.where(t >= 0.0, p.A_m, -p.A_m)
     vd = diode_voltages(x1, x3, vs, p)
-    e = np.exp(np.minimum(vd / (p.eta * p.thermal_voltage), 700.0))
+    e = np.exp(np.minimum(vd / p.derived.a, 700.0))
     return np.array(_circuit_derivatives(x1, x2, x3, vs, vd, e, p))
 
 
 def _circuit_jac_table(table, t, p):
     x1, _, x3 = table
     vs = np.where(t >= 0.0, p.A_m, -p.A_m)
-    w = _diode_omega(x1, x3, vs, p)[3]
-    rsum = p.R1 + p.R2
-    r34 = p.R3 + p.R4
+    w = _diode_omega(x1, x3, vs, p)[1]
+    k = p.derived
     # V_d depends on x1 and x3 through V_lin = (Vs - x1) + R2*x3, with
     # dV_d/dV_lin = 1/(1 + w); and since i_s*exp(V_d/a) = a*w/rsum,
     # d/dV_d of V_d + i_s*R1*(exp(V_d/a) - 1) is 1 + R1*w/rsum
     dvd = 1.0 / (1.0 + w)
-    dload = 1.0 + p.R1 * w / rsum
+    dload = 1.0 + p.R1 * w / (p.R1 + p.R2)
     blocks = np.zeros((t.size, 3, 3))
-    blocks[:, 0, 0] = -w * dvd / (p.C1 * rsum)
-    blocks[:, 0, 2] = -(p.R1 + p.R2 * dvd) / (p.C1 * rsum)
-    blocks[:, 1, 1] = -1.0 / (p.C2 * r34)
-    blocks[:, 1, 2] = p.R4 / (p.C2 * r34)
+    blocks[:, 0, 0] = -w * dvd / k.c1_rsum
+    blocks[:, 0, 2] = -(p.R1 + p.R2 * dvd) / k.c1_rsum
+    blocks[:, 1, 1] = -1.0 / k.c2_r34
+    blocks[:, 1, 2] = p.R4 / k.c2_r34
     blocks[:, 2, 0] = dload * dvd / p.L
-    blocks[:, 2, 1] = -p.R4 / (r34 * p.L)
-    blocks[:, 2, 2] = -(p.R3 * p.R4 / r34 + dload * p.R2 * dvd) / p.L
+    blocks[:, 2, 1] = -p.R4 / (k.r34 * p.L)
+    blocks[:, 2, 2] = -(k.g3 + dload * p.R2 * dvd) / p.L
     return blocks
 
 
@@ -290,8 +323,10 @@ def circuit_system(p: CircuitParams) -> PeriodicSystem:
     derivatives are assembled.  The analytic Jacobian, in table form
     only, follows from dV_d/dV_lin = 1/(1 + w).  The source jumps at the
     phases 0 and pi, declared as the system's breakpoints.  RK4 calls the
-    per-state rhs, which costs several times less than the table form on
-    a single state.
+    per-state rhs, which works on floats and returns a tuple; on a single
+    state it costs an order of magnitude less than the table form.  Both
+    take the element combinations they need from ``p.derived``, which is
+    computed once per parameter record.
     """
     return PeriodicSystem(dim=3, rhs=_circuit_rhs,
                           rhs_table=_circuit_rhs_table,

@@ -24,7 +24,7 @@ wholly on one side, which would bias the mean by O(1/N).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -63,12 +63,15 @@ class RhsEvaluationError(RuntimeError):
 class PeriodicSystem:
     """First-order system x' = f(x, t) with 2*pi-periodic forcing phase t.
 
-    rhs(x, t, params) -> m-vector, jac(x, t, params) -> (m, m) array of
-    partials d f_k / d x_k' (optional; finite differences are used when
-    absent).  ``subharmonic`` s > 1 requests a response whose period is s
-    forcing periods.  ``breakpoints`` lists the forcing phases where f
-    jumps (e.g. 0 and pi for a square wave); a collocation node on one of
-    them is fed the mean of f's one-sided limits there.
+    rhs(x, t, params) -> a sequence of m numbers (a tuple, a list or an
+    ndarray), with x a sequence of m floats that rhs indexes: a list when
+    RK4 steps it, an ndarray column in the collocation layer's per-node
+    loop.  jac(x, t, params) -> (m, m) array of partials d f_k / d x_k'
+    (optional; finite differences are used when absent).  ``subharmonic``
+    s > 1 requests a response whose period is s forcing periods.
+    ``breakpoints`` lists the forcing phases where f jumps (e.g. 0 and pi
+    for a square wave); a collocation node on one of them is fed the mean
+    of f's one-sided limits there.
 
     ``rhs_table(table (m, K), phases (K,), params) -> (m, K)`` and
     ``jac_table(...) -> (K, m, m)`` are optional table forms of rhs and
@@ -81,7 +84,7 @@ class PeriodicSystem:
     """
 
     dim: int
-    rhs: Callable[[np.ndarray, float, Any], np.ndarray]
+    rhs: Callable[[Sequence[float], float, Any], Sequence[float]]
     omega: float
     jac: Callable[[np.ndarray, float, Any], np.ndarray] | None = None
     params: Any = None

@@ -5,6 +5,14 @@ wrapped into (-pi, pi] before each rhs call, so the same model functions
 serve both the transient and the collocation residual.  One "cycle" is
 one response period 2*pi*s/omega (s forcing periods for a subharmonic
 system).
+
+A step runs on Python floats: the state is a list of m floats, the stage
+states and the update are formed component by component, and only the
+finished state is written into the trajectory array.  One trajectory
+cannot be batched, and on a state of two or three components numpy's
+per-call overhead would cost more than the arithmetic.  The operations
+are those of the array form, in the same order, so the trajectory is
+the same to the bit.
 """
 
 from __future__ import annotations
@@ -86,6 +94,10 @@ def rk4_transient(system, config: TransientConfig,
     the grid phases (linear interpolation between steps) and returned as
     a flat collocation state; this requires steps_per_cycle >= 8 * N so
     the interpolation is well below the integrator's own accuracy.
+
+    Raises TransientDivergenceError at the first step whose state is not
+    finite, or whose stages overflow a float (OverflowError, where numpy
+    would have returned inf).
     """
     m = system.dim
     x0 = np.asarray(config.initial_state, dtype=float)
@@ -106,26 +118,38 @@ def rk4_transient(system, config: TransientConfig,
     rhs = system.rhs
     params = system.params
 
+    # step i ends at i*h + h, the same bits as the loop's tau + h
     times = np.empty(total + 1)
-    states = np.empty((m, total + 1))
     times[0] = 0.0
-    states[:, 0] = x0
-    x = x0.copy()
+    times[1:] = np.arange(total) * h + h
+    # one row per step while stepping; returned as its (m, total + 1) view
+    states = np.empty((total + 1, m))
+    x = [float(v) for v in x0]
+    states[0] = x
     half = 0.5 * h
+    sixth = h / 6.0
     for i in range(total):
         tau = i * h
         p0 = _wrap(omega * tau)
         p1 = _wrap(omega * (tau + half))
         p2 = _wrap(omega * (tau + h))
-        k1 = rhs(x, p0, params)
-        k2 = rhs(x + half * k1, p1, params)
-        k3 = rhs(x + half * k2, p1, params)
-        k4 = rhs(x + h * k3, p2, params)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
+        try:
+            k1 = rhs(x, p0, params)
+            k2 = rhs([a + half * b for a, b in zip(x, k1)], p1, params)
+            k3 = rhs([a + half * b for a, b in zip(x, k2)], p1, params)
+            k4 = rhs([a + h * b for a, b in zip(x, k3)], p2, params)
+        except OverflowError:
+            # float arithmetic raises where numpy's would return inf
+            raise TransientDivergenceError(i + 1) from None
+        if len(k1) != m:
+            # zip would silently drop the surplus of a longer rhs
+            raise ValueError(f"rhs returned {len(k1)} values, expected {m}")
+        x = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, x)):
             raise TransientDivergenceError(i + 1)
-        times[i + 1] = tau + h
-        states[:, i + 1] = x
+        states[i + 1] = x
+    states = states.T
 
     node_state = None
     if grid is not None:

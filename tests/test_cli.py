@@ -125,6 +125,22 @@ class TestSolve:
         assert main(args + ["--N", "11"]) == 2
         assert capsys.readouterr().err == f"error: {named} is not finite\n"
 
+    @pytest.mark.parametrize("args,named", [
+        (["simulate", "--param", "a=-100", "--cycles", "30"],
+         "transient diverged (non-finite state) at step 5310"),
+        (["solve", "--param", "a=-100", "--guess", "rk4:30"],
+         "transient diverged (non-finite state) at step 51850"),
+        (["solve", "--param", "b=1e300", "--guess", "rk4:2"],
+         "Jacobian numerically singular at Newton iteration 1"),
+    ], ids=["simulate-diverges", "rk4-guess-diverges", "singular-jacobian"])
+    def test_solver_failure_exits_1_without_traceback(self, args, named,
+                                                      capsys):
+        rc = main(args + ["--model", "pendulum", "--N", "11"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {named}\n"
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("model,param,named", [
         ("pendulum", "omega=0", "forcing frequency"),
         ("circuit", "T_period=-1e-5", "forcing frequency"),

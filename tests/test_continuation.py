@@ -141,6 +141,32 @@ class TestSweep:
         assert br.status == "truncated"
         assert [p for p, _ in br.points] == [0.0, 0.5, 1.0]
 
+    @staticmethod
+    def _decay_family(p):
+        # x' = -p*x + cos t with its analytic Jacobian: J = omega*D + p*I,
+        # exactly singular at p = 0, where D's constant mode has no inverse
+        sys = PeriodicSystem(dim=1,
+                             rhs=lambda x, t, q: (-q * x[0] + np.cos(t),),
+                             jac=lambda x, t, q: np.array([[-q]]),
+                             omega=1.0, params=p)
+        return CollocationProblem.build(sys, 11)
+
+    def test_singular_jacobian_counts_as_failed_step(self):
+        # the trial at p = 0 fails; the halved step lands on 0.25 and the
+        # regrown one steps over the singular value
+        br = sweep(self._decay_family, np.zeros(11),
+                   SweepConfig("p", 1.0, -1.0, 0.5))
+        assert [p for p, _ in br.points] == [1.0, 0.5, 0.25, -0.25, -0.75,
+                                             -1.0]
+        assert br.status == "completed"
+
+    def test_singular_endpoint_truncates(self):
+        br = sweep(self._decay_family, np.zeros(11),
+                   SweepConfig("p", 1.0, 0.0, 0.5))
+        assert br.status == "truncated"
+        assert [p for p, _ in br.points] == [1.0, 0.5] + [2.0**-k
+                                                          for k in range(2, 8)]
+
     def test_adaptive_halving_recovers_and_completes(self):
         # the full jump to p=2 exceeds the iteration budget; halving to
         # p=1 succeeds, then the branch reaches the endpoint

@@ -42,7 +42,7 @@ class TestPendulum:
         sys = pendulum_system(PendulumParams(a=0.1, b=200.0))
         for t in [-2.0, 0.0, 1.5, np.pi]:
             f = sys.rhs(np.array([np.pi, 0.0]), t, sys.params)
-            assert np.all(f == 0.0)
+            assert np.all(np.asarray(f) == 0.0)
 
     def test_jacobian_entries(self):
         p = PendulumParams(a=0.1, b=2.0)

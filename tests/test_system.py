@@ -368,7 +368,8 @@ class TestTableForm:
         R = unflatten(residual(prob, flatten(table)), 3, N)
         deriv = prob.omega_eff * apply_derivative(prob.D, table)
         before, after = prob.eval_phases[[j, N]]
-        sides = [sys.rhs(table[:, j], phase, p) for phase in (before, after)]
+        sides = [np.asarray(sys.rhs(table[:, j], phase, p))
+                 for phase in (before, after)]
         expected = deriv[:, j] - 0.5 * (sides[0] + sides[1])
         scale = np.max(np.abs(deriv[:, j])) + np.max(np.abs(sides))
         assert np.max(np.abs(R[:, j] - expected)) <= 1e-12 * scale

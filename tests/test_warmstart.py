@@ -1,10 +1,25 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from limitcycle.models import PendulumParams, linear_system, pendulum_system
+from limitcycle.models import (
+    CircuitParams,
+    PendulumParams,
+    circuit_system,
+    linear_system,
+    pendulum_system,
+)
 from limitcycle.solver import newton_solve
 from limitcycle.spectral import equispaced_nodes
-from limitcycle.system import CollocationProblem, PeriodicSystem, unflatten
+from limitcycle.system import (
+    CollocationProblem,
+    PeriodicSystem,
+    flatten,
+    unflatten,
+)
 from limitcycle.warmstart import (
     TransientConfig,
     TransientDivergenceError,
@@ -77,6 +92,25 @@ class TestRk4Transient:
             rk4_transient(bad, cfg)
         assert info.value.step == 13
 
+    def test_float_overflow_is_divergence(self):
+        # on floats x ** 2 raises OverflowError where numpy returned inf;
+        # it is reported at the step the array loop reports
+        bad = PeriodicSystem(dim=1, rhs=lambda x, t, _: (x[0] ** 2,),
+                             omega=1.0)
+        cfg = TransientConfig(cycles=5, steps_per_cycle=64,
+                              initial_state=np.array([1.0]))
+        with pytest.raises(TransientDivergenceError) as info:
+            rk4_transient(bad, cfg)
+        assert info.value.step == 13
+
+    def test_rhs_of_the_wrong_length_is_rejected(self):
+        bad = PeriodicSystem(dim=2, rhs=lambda x, t, _: (x[1], -x[0], 1.0),
+                             omega=1.0)
+        cfg = TransientConfig(cycles=1, steps_per_cycle=16,
+                              initial_state=np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="3 values, expected 2"):
+            rk4_transient(bad, cfg)
+
     def test_grid_sampling_requires_fine_steps(self):
         sys = linear_system(1.0)
         grid = equispaced_nodes(11)
@@ -94,6 +128,134 @@ class TestRk4Transient:
         res = rk4_transient(sys, cfg)
         assert abs(res.states[0, -1] - np.pi) < 0.11
         assert abs(res.states[0, -1] - np.pi) < abs(3.0 - np.pi)
+
+
+def _wrap(phase):
+    w = math.fmod(phase, 2.0 * math.pi)
+    if w > math.pi:
+        w -= 2.0 * math.pi
+    elif w <= -math.pi:
+        w += 2.0 * math.pi
+    return w
+
+
+def _array_rk4(system, config, grid=None):
+    """The RK4 loop on numpy arrays that stepped the transients before
+    the float loop, kept as its bitwise oracle."""
+    m = system.dim
+    x0 = np.asarray(config.initial_state, dtype=float)
+    period = 2.0 * math.pi * system.subharmonic / system.omega
+    h = period / config.steps_per_cycle
+    total = config.cycles * config.steps_per_cycle
+    omega, params = system.omega, system.params
+
+    def rhs(x, t):
+        return np.array(system.rhs(x, t, params), dtype=float)
+
+    times = np.empty(total + 1)
+    states = np.empty((m, total + 1))
+    times[0] = 0.0
+    states[:, 0] = x0
+    x = x0.copy()
+    half = 0.5 * h
+    for i in range(total):
+        tau = i * h
+        p0 = _wrap(omega * tau)
+        p1 = _wrap(omega * (tau + half))
+        p2 = _wrap(omega * (tau + h))
+        k1 = rhs(x, p0)
+        k2 = rhs(x + half * k1, p1)
+        k3 = rhs(x + half * k2, p1)
+        k4 = rhs(x + h * k3, p2)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(x)):
+            raise TransientDivergenceError(i + 1)
+        times[i + 1] = tau + h
+        states[:, i + 1] = x
+
+    node_state = None
+    if grid is not None:
+        tau_end = total * h
+        frac = np.mod(grid.nodes, 2.0 * np.pi) / (2.0 * np.pi)
+        tau_nodes = tau_end - period + frac * period
+        table = np.empty((m, grid.size))
+        for k in range(m):
+            table[k] = np.interp(tau_nodes, times, states[k])
+        node_state = flatten(table)
+    return times, states, node_state
+
+
+def _assert_bitwise_equal_to_array_loop(system, x0, cycles, steps, N=None):
+    grid = None if N is None else equispaced_nodes(N)
+    cfg = TransientConfig(cycles=cycles, steps_per_cycle=steps,
+                          initial_state=np.asarray(x0, dtype=float))
+    with np.errstate(all="ignore"):
+        try:
+            expected = _array_rk4(system, cfg, grid)
+        except TransientDivergenceError as exc:
+            with pytest.raises(TransientDivergenceError) as info:
+                rk4_transient(system, cfg, grid)
+            assert info.value.step == exc.step
+            return
+        res = rk4_transient(system, cfg, grid)
+    times, states, node_state = expected
+    assert np.array_equal(res.times, times)
+    assert np.array_equal(res.states, states)
+    if grid is None:
+        assert res.node_state is None
+    else:
+        assert np.array_equal(res.node_state, node_state)
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+class TestFloatLoopMatchesArrayLoop:
+    # even step counts put step ends on the square wave's jumps at 0 and
+    # pi, where the side a phase rounds to decides the source's sign
+    @settings(max_examples=25, deadline=None)
+    @given(A_m=st.floats(0.5, 20.0, **_finite),
+           R4=st.floats(0.2, 10.0, **_finite),
+           x0=st.tuples(st.floats(-10.0, 10.0, **_finite),
+                        st.floats(-10.0, 10.0, **_finite),
+                        st.floats(-5.0, 5.0, **_finite)),
+           N=st.sampled_from([3, 5]),
+           extra=st.integers(0, 20), cycles=st.integers(1, 3))
+    def test_circuit(self, A_m, R4, x0, N, extra, cycles):
+        system = circuit_system(CircuitParams(A_m=A_m, R4=R4))
+        _assert_bitwise_equal_to_array_loop(system, x0, cycles,
+                                            8 * N + 2 * extra, N)
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.floats(0.0, 1.0, **_finite),
+           b=st.floats(0.0, 200.0, **_finite),
+           omega=st.floats(1.0, 20.0, **_finite), s=st.sampled_from([1, 2]),
+           x0=st.tuples(st.floats(-4.0, 4.0, **_finite),
+                        st.floats(-10.0, 10.0, **_finite)),
+           steps=st.integers(8, 80), cycles=st.integers(1, 3))
+    def test_pendulum(self, a, b, omega, s, x0, steps, cycles):
+        system = pendulum_system(PendulumParams(a=a, b=b, omega=omega),
+                                 subharmonic=s)
+        _assert_bitwise_equal_to_array_loop(system, x0, cycles, steps)
+
+    @settings(max_examples=25, deadline=None)
+    @given(p=st.floats(-10.0, 10.0, **_finite),
+           x0=st.floats(-10.0, 10.0, **_finite),
+           steps=st.integers(24, 80), cycles=st.integers(1, 3))
+    def test_linear(self, p, x0, steps, cycles):
+        _assert_bitwise_equal_to_array_loop(linear_system(p), [x0], cycles,
+                                            steps, 3)
+
+    @pytest.mark.parametrize("box", [np.array, list],
+                             ids=["ndarray", "list"])
+    def test_user_rhs_returning_a_sequence(self, box):
+        # a Duffing oscillator that indexes its state, as the contract asks
+        def duffing(x, t, p):
+            return box([x[1],
+                        -0.2 * x[1] - x[0] - x[0] ** 3 + p * math.cos(t)])
+
+        system = PeriodicSystem(dim=2, rhs=duffing, omega=1.3, params=2.5)
+        _assert_bitwise_equal_to_array_loop(system, [0.5, -0.3], 4, 96, 11)
 
 
 class TestGuessNearPi:
