@@ -7,8 +7,11 @@ and ``matrix`` (dump the differentiation matrix).  All output is CSV
 with a ``#``-prefixed header block; numbers carry 17 significant
 digits so files round-trip bitwise.
 
-Exit codes: 0 success, 1 solver did not converge or failed (a diverging
-transient, a singular Newton matrix), 2 invalid input.
+Exit codes: 0 success; 1 the solver did not converge or failed (a
+diverging transient, a singular Newton matrix, a sweep whose first point
+fails); 2 invalid input: any argument the library rejects, with its
+message, and malformed config and solution files.  :func:`main` alone
+turns exceptions into exit codes, each with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,21 +65,28 @@ from .warmstart import (
 
 __all__ = ["main", "RunConfig"]
 
-# model name -> (parameter record, name of its system factory in this
-# module); the factory is looked up at call time, so that a replaced
-# module-level factory applies
+
+class _Model(NamedTuple):
+    """A model's parameter record, the name of its system factory in
+    this module (looked up at call time, so that a replaced factory
+    applies), simulate's default cycles and steps per cycle, and the
+    derived columns ``outputs`` that ``derive(states, xdot, params)``
+    computes."""
+
+    params: type
+    factory: str
+    cycles: int = 20
+    steps: int = 256
+    outputs: tuple = ()
+    derive: Callable | None = None
+
+
 _MODELS = {
-    "pendulum": (PendulumParams, "pendulum_system"),
-    "linear": (LinearParams, "linear_system"),
-    "circuit": (CircuitParams, "circuit_system"),
+    "pendulum": _Model(PendulumParams, "pendulum_system"),
+    "linear": _Model(LinearParams, "linear_system"),
+    "circuit": _Model(CircuitParams, "circuit_system", 150, 2500,
+                      ("i_d", "V0"), circuit_outputs),
 }
-
-
-class _UsageError(ValueError):
-    """Invalid configuration or arguments; maps to exit code 2.
-
-    A ValueError, so that a sweep counts a rejected parameter as a failed step.
-    """
 
 
 @dataclass(frozen=True)
@@ -89,41 +100,25 @@ class RunConfig:
     guess: str = "constant:0"
     out: str | None = None
 
-    def __post_init__(self):
-        if self.model not in _MODELS:
-            raise _UsageError(f"unknown model {self.model!r}")
-        if self.N < 3 or self.N % 2 == 0:
-            raise _UsageError(f"N must be an odd integer >= 3, got {self.N}")
-        if self.subharmonic < 1:
-            raise _UsageError("subharmonic must be a positive integer")
-
 
 def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
 def _parse_number(text: str, cast, what: str):
-    """cast(text), or a usage error naming the malformed value."""
+    """cast(text), or a ValueError naming the malformed value."""
     try:
         return cast(text)
     except ValueError:
-        raise _UsageError(f"{what} {text!r} is not a valid number")
+        raise ValueError(f"{what} {text!r} is not a valid number")
 
 
 def _parse_finite(text: str, what: str) -> float:
-    """float(text), or a usage error if it is malformed or not finite."""
+    """float(text), or a ValueError if it is malformed or not finite."""
     value = _parse_number(text, float, what)
     if not math.isfinite(value):
-        raise _UsageError(f"{what} {text!r} is not finite")
+        raise ValueError(f"{what} {text!r} is not finite")
     return value
-
-
-def _transient_config(cycles: int, steps: int, x0: np.ndarray) -> TransientConfig:
-    try:
-        return TransientConfig(cycles=cycles, steps_per_cycle=steps,
-                               initial_state=x0)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
 
 
 def _parse_param_items(items) -> dict:
@@ -131,39 +126,36 @@ def _parse_param_items(items) -> dict:
     for item in items:
         name, sep, value = item.partition("=")
         if not sep or not name:
-            raise _UsageError(f"parameter override {item!r} is not NAME=VALUE")
+            raise ValueError(f"parameter override {item!r} is not NAME=VALUE")
         out[name] = _parse_finite(value, f"parameter {name!r}")
     return out
 
 
-def _load_config_file(path: str):
+def _load_config_file(path: str) -> dict:
+    """Section name -> {key: value} of an INI file."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise _UsageError(f"config file {path!r} not found")
-    run = dict(parser["run"]) if parser.has_section("run") else {}
-    sections = {
-        name: {k: v for k, v in parser[name].items()}
-        for name in parser.sections()
-        if name != "run"
-    }
-    return run, sections
+    try:
+        if not parser.read(path):
+            raise ValueError(f"config file {path!r} not found")
+        return {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as exc:
+        # its messages span lines; the CLI reports one
+        raise ValueError("malformed config file: "
+                         + " ".join(str(exc).split())) from None
 
 
 def _resolve_config(args) -> RunConfig:
     """Layer command-line flags over the optional config file."""
-    file_run: dict = {}
-    file_params: dict = {}
-    if getattr(args, "config", None):
-        file_run, sections = _load_config_file(args.config)
-        model = args.model or file_run.get("model")
-        if model in sections:
-            file_params = _parse_param_items(
-                f"{k}={v}" for k, v in sections[model].items()
-            )
+    sections = _load_config_file(args.config) if args.config else {}
+    file_run = sections.get("run", {})
     model = args.model or file_run.get("model")
     if not model:
-        raise _UsageError("no model given (flag --model or config [run] model)")
+        raise ValueError("no model given (flag --model or config [run] model)")
+    if model not in _MODELS:
+        # --model is checked by its choices; a config file's is not
+        raise ValueError(f"unknown model {model!r}")
+    file_params = _parse_param_items(
+        f"{k}={v}" for k, v in sections.get(model, {}).items())
 
     def _pick(flag, key, cast, default):
         if flag is not None:
@@ -174,14 +166,10 @@ def _resolve_config(args) -> RunConfig:
 
     N = _pick(args.N, "n", int, 0)
     if N == 0:
-        raise _UsageError("no node count given (flag --N or config [run] n)")
-    params = dict(file_params)
-    if args.param:
-        params.update(_parse_param_items(args.param))
+        raise ValueError("no node count given (flag --N or config [run] n)")
+    params = {**file_params, **_parse_param_items(args.param or ())}
     return RunConfig(
-        model=model,
-        N=N,
-        params=params,
+        model=model, N=N, params=params,
         subharmonic=_pick(args.subharmonic, "subharmonic", int, 1),
         guess=_pick(args.guess, "guess", str, "constant:0"),
         out=_pick(args.out, "out", str, None),
@@ -190,21 +178,18 @@ def _resolve_config(args) -> RunConfig:
 
 def _instantiate(cfg: RunConfig):
     """Build (params, system, problem) for a resolved config."""
-    cls, factory = _MODELS[cfg.model]
-    valid = {f.name for f in dataclasses.fields(cls)}
+    model = _MODELS[cfg.model]
+    valid = {f.name for f in dataclasses.fields(model.params)}
     unknown = sorted(set(cfg.params) - valid)
     if unknown:
-        raise _UsageError(
+        # the record's constructor would raise a TypeError
+        raise ValueError(
             f"model {cfg.model!r} has no parameter(s) {', '.join(unknown)}"
         )
-    try:
-        params = cls(**cfg.params)
-        system = dataclasses.replace(globals()[factory](params),
-                                     subharmonic=cfg.subharmonic)
-        problem = CollocationProblem.build(system, cfg.N)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    return params, system, problem
+    params = model.params(**cfg.params)
+    system = dataclasses.replace(globals()[model.factory](params),
+                                 subharmonic=cfg.subharmonic)
+    return params, system, CollocationProblem.build(system, cfg.N)
 
 
 def _read_solution(path: str):
@@ -218,34 +203,31 @@ def _read_solution(path: str):
                 if not line:
                     continue
                 if line.startswith("#"):
-                    body = line[1:].strip()
-                    key, sep, value = body.partition("=")
+                    key, sep, value = line[1:].partition("=")
                     if sep:
                         header[key.strip()] = value.strip()
                 else:
                     rows.append([_parse_number(tok, float, "data value")
                                  for tok in line.split(",")])
     except OSError as exc:
-        raise _UsageError(f"cannot read solution file {path!r}: {exc}")
+        raise ValueError(f"cannot read solution file {path!r}: {exc}")
     if not rows:
-        raise _UsageError(f"solution file {path!r} has no data rows")
+        raise ValueError(f"solution file {path!r} has no data rows")
     if len({len(row) for row in rows}) != 1:
-        raise _UsageError(f"solution file {path!r} has rows of unequal length")
+        raise ValueError(f"solution file {path!r} has rows of unequal length")
     return header, np.array(rows, dtype=float)
 
 
 def _guess_from_file(path: str, m: int, N: int) -> np.ndarray:
     header, data = _read_solution(path)
     if "N" in header and _parse_number(header["N"], int, "header N") != N:
-        raise _UsageError(
-            f"solution file has N={header['N']}, run expects N={N}"
-        )
+        raise ValueError(
+            f"solution file has N={header['N']}, run expects N={N}")
     if data.shape[0] != N:
-        raise _UsageError(
-            f"solution file has {data.shape[0]} rows, run expects {N}"
-        )
+        raise ValueError(
+            f"solution file has {data.shape[0]} rows, run expects {N}")
     if data.shape[1] < 2 + m:
-        raise _UsageError(
+        raise ValueError(
             f"solution file has {data.shape[1]} columns, expected at least {2 + m}"
         )
     # columns are phase, tau, x1..xm, extras
@@ -265,29 +247,22 @@ def _initial_guess(cfg: RunConfig, system, problem) -> np.ndarray:
         table[0] = np.pi
         return flatten(table)
     if kind == "sin":
-        if m != 2:
-            raise _UsageError("sin guess needs a two-component model")
-        if not rest:
-            raise _UsageError("sin guess needs a deviation size, e.g. sin:0.8")
-        parts = rest.split(",")
-        eps = _parse_number(parts[0], float, "sin guess size")
-        harmonic = (_parse_number(parts[1], int, "sin guess harmonic")
-                    if len(parts) > 1 else 1)
-        try:
-            return guess_near_pi(N, eps, harmonic, system.omega,
-                                 system.subharmonic)
-        except ValueError as exc:
-            raise _UsageError(str(exc))
+        # a two-state guess; newton_solve refuses it on any other model
+        size, sep, harmonic = rest.partition(",")
+        eps = _parse_number(size, float, "sin guess size")
+        harmonic = (_parse_number(harmonic, int, "sin guess harmonic")
+                    if sep else 1)
+        return guess_near_pi(N, eps, harmonic, system.omega,
+                             system.subharmonic)
     if kind == "rk4":
         cycles = _parse_number(rest, int, "rk4 guess cycles") if rest else 20
-        tcfg = _transient_config(cycles, max(8 * N, 2500), np.zeros(m))
-        res = rk4_transient(system, tcfg, grid=problem.grid)
-        return res.node_state
+        tcfg = TransientConfig(cycles, max(8 * N, 2500), np.zeros(m))
+        return rk4_transient(system, tcfg, grid=problem.grid).node_state
     if kind == "file":
         if not rest:
-            raise _UsageError("file guess needs a path, e.g. file:solution.csv")
+            raise ValueError("file guess needs a path, e.g. file:solution.csv")
         return _guess_from_file(rest, m, N)
-    raise _UsageError(f"unknown guess descriptor {cfg.guess!r}")
+    raise ValueError(f"unknown guess descriptor {cfg.guess!r}")
 
 
 def _header_lines(cfg: RunConfig, params, system, result=None, extra=()):
@@ -305,11 +280,9 @@ def _header_lines(cfg: RunConfig, params, system, result=None, extra=()):
 
 
 def _write_csv(path, header_lines, column_names, columns):
-    rows = len(columns[0])
-    out_lines = list(header_lines)
-    out_lines.append("# columns=" + ",".join(column_names))
-    for i in range(rows):
-        out_lines.append(",".join(_fmt(col[i]) for col in columns))
+    out_lines = [*header_lines, "# columns=" + ",".join(column_names)]
+    out_lines += (",".join(_fmt(col[i]) for col in columns)
+                  for i in range(len(columns[0])))
     text = "\n".join(out_lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -318,18 +291,15 @@ def _write_csv(path, header_lines, column_names, columns):
             fh.write(text)
 
 
-def _solution_columns(cfg: RunConfig, params, system, problem, X):
-    """Column names/values of a node-wise solution table."""
-    grid = problem.grid
-    table = unflatten(X, system.dim, cfg.N)
-    tau = cfg.subharmonic * grid.nodes / system.omega
-    names = ["phase", "tau"] + [f"x{k + 1}" for k in range(system.dim)]
-    cols = [grid.nodes, tau] + [table[k] for k in range(system.dim)]
-    if cfg.model == "circuit":
-        xdot = node_derivatives(problem, X)
-        i_d, v_out = circuit_outputs(table, xdot, params)
-        names += ["i_d", "V0"]
-        cols += [i_d, v_out]
+def _state_columns(cfg: RunConfig, params, names, cols, states, xdot):
+    """names and cols, then the states x1..xm, then the model's derived
+    columns from ``xdot()``, which is called only if there are any."""
+    model = _MODELS[cfg.model]
+    names = names + [f"x{k + 1}" for k in range(len(states))]
+    cols = cols + list(states)
+    if model.derive is not None:
+        names += model.outputs
+        cols += model.derive(states, xdot(), params)
     return names, cols
 
 
@@ -338,34 +308,31 @@ def cmd_solve(args) -> int:
     params, system, problem = _instantiate(cfg)
     X0 = _initial_guess(cfg, system, problem)
     result = newton_solve(problem, X0)
-    names, cols = _solution_columns(cfg, params, system, problem, result.X)
+    nodes = problem.grid.nodes
+    names, cols = _state_columns(
+        cfg, params, ["phase", "tau"],
+        [nodes, cfg.subharmonic * nodes / system.omega],
+        unflatten(result.X, system.dim, cfg.N),
+        lambda: node_derivatives(problem, result.X))
     _write_csv(cfg.out, _header_lines(cfg, params, system, result),
                names, cols)
-    print(
-        f"residual {result.residual_norm:.3e} after {result.iterations} "
-        f"iteration(s), converged={result.converged}",
-        file=sys.stderr,
-    )
+    print(f"residual {result.residual_norm:.3e} after {result.iterations} "
+          f"iteration(s), converged={result.converged}", file=sys.stderr)
     return 0 if result.converged else 1
 
 
 def _parse_sweep_spec(spec: str) -> SweepConfig:
     name, sep, rng = spec.partition("=")
     if not sep:
-        raise _UsageError(f"sweep spec {spec!r} is not NAME=START:END:STEP")
+        raise ValueError(f"sweep spec {spec!r} is not NAME=START:END:STEP")
     parts = rng.split(":")
     if len(parts) != 3:
-        raise _UsageError(f"sweep range {rng!r} is not START:END:STEP")
-    try:
-        start, end, step = (float(tok) for tok in parts)
-    except ValueError:
-        raise _UsageError(f"sweep range {rng!r} has non-numeric entries")
+        raise ValueError(f"sweep range {rng!r} is not START:END:STEP")
+    start, end, step = (_parse_number(tok, float, "sweep range entry")
+                        for tok in parts)
     if start == end:
-        raise _UsageError("sweep range is empty (start equals end)")
-    try:
-        return SweepConfig(name, start, end, step)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+        raise ValueError("sweep range is empty (start equals end)")
+    return SweepConfig(name, start, end, step)
 
 
 def cmd_sweep(args) -> int:
@@ -373,29 +340,23 @@ def cmd_sweep(args) -> int:
     params, system, problem = _instantiate(cfg)
     spec = _parse_sweep_spec(args.sweep)
     name = spec.parameter_name
+    # checked here, before the seed transient and the branch
     valid = {f.name for f in dataclasses.fields(params)}
     if name not in valid:
-        raise _UsageError(f"model {cfg.model!r} has no parameter {name!r}")
+        raise ValueError(f"model {cfg.model!r} has no parameter {name!r}")
     component = args.component
     if not 0 <= component < system.dim:
-        raise _UsageError(
+        raise ValueError(
             f"component {component} out of range for {system.dim} states"
         )
     if args.oversample < 4:
-        raise _UsageError("oversample must be at least 4")
+        raise ValueError("oversample must be at least 4")
 
     def family(p):
-        run = dataclasses.replace(cfg, params={**cfg.params, name: p})
-        _, _, prob = _instantiate(run)
-        return prob
+        return _instantiate(
+            dataclasses.replace(cfg, params={**cfg.params, name: p}))[2]
 
-    X0 = _initial_guess(cfg, system, problem)
-    try:
-        branch = sweep(family, X0, spec)
-    except BranchSeedError as exc:
-        print(f"seed solve failed at {name}={exc.parameter}", file=sys.stderr)
-        return 1
-
+    branch = sweep(family, _initial_guess(cfg, system, problem), spec)
     grid = problem.grid
     values = np.empty((6, len(branch.points)))
     for i, (p, result) in enumerate(branch.points):
@@ -404,87 +365,65 @@ def cmd_sweep(args) -> int:
                         1.0 if result.converged else 0.0)
     extra = [f"sweep={args.sweep}", f"component={component}",
              f"status={branch.status}"]
-    _write_csv(
-        cfg.out,
-        _header_lines(cfg, params, system, extra=extra),
-        ["parameter", "component", "max", "min", "iterations", "converged"],
-        list(values),
-    )
+    _write_csv(cfg.out, _header_lines(cfg, params, system, extra=extra),
+               ["parameter", "component", "max", "min", "iterations",
+                "converged"], list(values))
     print(f"{len(branch.points)} point(s), status={branch.status}",
           file=sys.stderr)
-    return 0 if branch.points else 1
+    return 0
 
 
 def cmd_interp(args) -> int:
     header, data = _read_solution(args.input)
     for key in ("N", "columns"):
         if key not in header:
-            raise _UsageError(f"solution file lacks the {key} header field")
+            raise ValueError(f"solution file lacks the {key} header field")
     N = _parse_number(header["N"], int, "header N")
     columns = header["columns"].split(",")
     if data.shape[1] != len(columns) or data.shape[0] != N:
-        raise _UsageError("solution file data does not match its header")
+        raise ValueError("solution file data does not match its header")
     M = args.points if args.points is not None else 8 * N
     if M < 1:
-        raise _UsageError("points must be a positive integer")
-    try:
-        grid = equispaced_nodes(N)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+        raise ValueError("points must be a positive integer")
+    grid = equispaced_nodes(N)
     if not np.array_equal(data[:, 0], grid.nodes):
-        raise _UsageError("solution file phases are not the equispaced nodes")
+        raise ValueError("solution file phases are not the equispaced nodes")
 
     # the grid's own construction, so M=N reproduces the node set bitwise
     ts = equispaced_phases(M)
     omega = _parse_number(header.get("omega", "0") or "0", float, "header omega")
     s = _parse_number(header.get("subharmonic", "1"), int, "header subharmonic")
-    out_names = []
     out_cols = []
     for j, name in enumerate(columns):
         if name == "phase":
-            out_names.append(name)
             out_cols.append(ts)
         elif name == "tau":
             if omega <= 0.0:
-                raise _UsageError("cannot rebuild tau: no frequency in header")
-            out_names.append(name)
+                raise ValueError("cannot rebuild tau: no frequency in header")
             out_cols.append(s * ts / omega)
         else:
-            out_names.append(name)
             out_cols.append(trig_interpolate(grid, data[:, j], ts))
     lines = [f"# {k}={v}" for k, v in header.items() if k != "columns"]
     lines.append(f"# points={M}")
-    _write_csv(args.out, lines, out_names, out_cols)
+    _write_csv(args.out, lines, columns, out_cols)
     return 0
 
 
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
-    params, system, problem = _instantiate(cfg)
-    cycles = args.cycles if args.cycles is not None else (
-        150 if cfg.model == "circuit" else 20
-    )
-    steps = args.steps if args.steps is not None else (
-        2500 if cfg.model == "circuit" else 256
-    )
-    if args.initial is not None:
-        x0 = np.array([_parse_finite(tok, "initial state value")
-                       for tok in args.initial.split(",")])
-        if x0.shape != (system.dim,):
-            raise _UsageError(
-                f"initial state needs {system.dim} comma-separated values"
-            )
-    else:
-        x0 = np.zeros(system.dim)
-    res = rk4_transient(system, _transient_config(cycles, steps, x0))
-    names = ["tau"] + [f"x{k + 1}" for k in range(system.dim)]
-    cols = [res.times] + [res.states[k] for k in range(system.dim)]
-    if cfg.model == "circuit":
-        phases = _wrap_phase(system.omega * res.times)
-        xdot = system.rhs_table(res.states, phases, system.params)
-        i_d, v_out = circuit_outputs(res.states, xdot, params)
-        names += ["i_d", "V0"]
-        cols += [i_d, v_out]
+    params, system, _ = _instantiate(cfg)
+    model = _MODELS[cfg.model]
+    cycles = args.cycles if args.cycles is not None else model.cycles
+    steps = args.steps if args.steps is not None else model.steps
+    x0 = (np.zeros(system.dim) if args.initial is None else
+          np.array([_parse_finite(tok, "initial state value")
+                    for tok in args.initial.split(",")]))
+    res = rk4_transient(system, TransientConfig(cycles, steps, x0))
+    names, cols = _state_columns(
+        cfg, params, ["tau"], [res.times], res.states,
+        lambda: system.rhs_table(res.states,
+                                 _wrap_phase(system.omega * res.times),
+                                 system.params))
     extra = [f"cycles={cycles}", f"steps_per_cycle={steps}"]
     _write_csv(cfg.out, _header_lines(cfg, params, system, extra=extra),
                names, cols)
@@ -492,12 +431,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    if args.N is None:
-        raise _UsageError("matrix needs --N")
-    try:
-        D = diff_matrix_equispaced(args.N)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    D = diff_matrix_equispaced(args.N)
     lines = [f"# N={args.N}", "# kind=equispaced"]
     names = [f"c{j}" for j in range(args.N)]
     _write_csv(args.out, lines, names, list(D.entries.T))
@@ -548,7 +482,7 @@ def _build_parser():
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("matrix", help="dump the differentiation matrix")
-    sp.add_argument("--N", type=int)
+    sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_matrix)
 
@@ -561,12 +495,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    # the one place where an exception becomes an exit code
     try:
         return args.func(args)
-    except (_UsageError, RhsEvaluationError) as exc:
+    except (ValueError, RhsEvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TransientDivergenceError, SingularJacobianError) as exc:
+    except (TransientDivergenceError, SingularJacobianError,
+            BranchSeedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

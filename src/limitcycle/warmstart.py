@@ -96,8 +96,10 @@ def rk4_transient(system, config: TransientConfig,
     the interpolation is well below the integrator's own accuracy.
 
     Raises TransientDivergenceError at the first step whose state is not
-    finite, or whose stages overflow a float (OverflowError, where numpy
-    would have returned inf).
+    finite, whose stages overflow a float (OverflowError, where numpy
+    would have returned inf), or whose rhs raises ValueError at a stage
+    state that is not finite.  A ValueError at a finite stage state
+    propagates.
     """
     m = system.dim
     x0 = np.asarray(config.initial_state, dtype=float)
@@ -133,13 +135,23 @@ def rk4_transient(system, config: TransientConfig,
         p0 = _wrap(omega * tau)
         p1 = _wrap(omega * (tau + half))
         p2 = _wrap(omega * (tau + h))
+        stage = x
         try:
-            k1 = rhs(x, p0, params)
-            k2 = rhs([a + half * b for a, b in zip(x, k1)], p1, params)
-            k3 = rhs([a + half * b for a, b in zip(x, k2)], p1, params)
-            k4 = rhs([a + h * b for a, b in zip(x, k3)], p2, params)
+            k1 = rhs(stage, p0, params)
+            stage = [a + half * b for a, b in zip(x, k1)]
+            k2 = rhs(stage, p1, params)
+            stage = [a + half * b for a, b in zip(x, k2)]
+            k3 = rhs(stage, p1, params)
+            stage = [a + h * b for a, b in zip(x, k3)]
+            k4 = rhs(stage, p2, params)
         except OverflowError:
             # float arithmetic raises where numpy's would return inf
+            raise TransientDivergenceError(i + 1) from None
+        except ValueError:
+            # math.sin(inf) and the like: a stage that already left the
+            # finite floats has diverged; at a finite one the rhs failed
+            if all(map(math.isfinite, stage)):
+                raise
             raise TransientDivergenceError(i + 1) from None
         if len(k1) != m:
             # zip would silently drop the surplus of a longer rhs

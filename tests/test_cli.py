@@ -20,6 +20,19 @@ def _read(path):
     return header, np.array(rows)
 
 
+def _error_message(capsys):
+    """The message of the one ``error: `` line that is all of stderr."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err[len("error: "):-1]
+
+
+_BAD_ROW = "# N=3\n# columns=phase,tau,x1\n1,2,3\nabc,2,3\n1,2,3\n"
+# a solution file that is not UTF-8
+_NOT_UTF8 = b"# N=3\n# columns=phase,tau,x1\n\xff\xfe,2,3\n"
+
+
 class TestSolve:
     def test_linear_solution_matches_analytic(self, tmp_path):
         out = tmp_path / "lin.csv"
@@ -82,22 +95,48 @@ class TestSolve:
                    "--guess", f"file:{first}"])
         assert rc == 2
 
-    def test_invalid_inputs_exit_2(self, tmp_path):
-        assert main(["solve", "--model", "linear", "--N", "4"]) == 2
-        assert main(["solve", "--model", "linear", "--N", "3",
-                     "--param", "q=1"]) == 2
+    def test_invalid_inputs_exit_2(self, tmp_path, capsys):
+        # argparse refuses a --model outside its choices, with its usage
         assert main(["solve", "--model", "nosuch", "--N", "3"]) == 2
-        assert main(["solve", "--model", "linear", "--N", "3",
-                     "--guess", "bogus:1"]) == 2
-        assert main(["solve", "--N", "3"]) == 2
+        assert ("error: argument --model: invalid choice"
+                in capsys.readouterr().err)
         bad_row = tmp_path / "bad_row.csv"
-        bad_row.write_text("# N=3\n# columns=phase,tau,x1\n"
-                           "1,2,3\nabc,2,3\n1,2,3\n")
-        for guess in ("constant:abc", "sin:x", "sin:0.8,y", "sin:0.8,0",
-                      "rk4:x", "rk4:0", f"file:{bad_row}"):
+        bad_row.write_text(_BAD_ROW)
+        not_utf8 = tmp_path / "not_utf8.csv"
+        not_utf8.write_bytes(_NOT_UTF8)
+        ini = tmp_path / "nosuch.ini"
+        ini.write_text("[run]\nmodel = nosuch\nn = 11\n")
+        cases = [
+            (["--model", "linear", "--N", "4"], "odd number N >= 3"),
+            (["--model", "linear", "--N", "3", "--param", "q=1"],
+             "has no parameter(s) q"),
+            (["--model", "linear", "--N", "3", "--guess", "bogus:1"],
+             "unknown guess descriptor 'bogus:1'"),
+            (["--N", "3"], "no model given"),
+            (["--model", "linear", "--N", "3", "--subharmonic", "0"],
+             "subharmonic order must be a positive integer, got 0"),
+            # the sin guess has two states; the circuit has three
+            (["--model", "circuit", "--N", "3", "--guess", "sin:0.8"],
+             "initial state has shape (6,), expected (9,)"),
+            (["--config", str(ini)], "unknown model 'nosuch'"),
+        ]
+        for guess, named in [
+            ("constant:abc", "constant guess 'abc'"),
+            ("sin:", "sin guess size ''"),
+            ("sin:x", "sin guess size 'x'"),
+            ("sin:0.8,y", "sin guess harmonic 'y'"),
+            ("sin:0.8,0", "harmonic must be >= 1, got 0"),
+            ("rk4:x", "rk4 guess cycles 'x'"),
+            ("rk4:0", "cycles must be >= 1, got 0"),
+            (f"file:{bad_row}", "data value 'abc'"),
+            (f"file:{not_utf8}", "can't decode byte 0xff"),
+        ]:
             model = "pendulum" if guess.startswith("sin") else "linear"
-            assert main(["solve", "--model", model, "--N", "3",
-                         "--guess", guess]) == 2, guess
+            cases.append((["--model", model, "--N", "3", "--guess", guess],
+                          named))
+        for args, named in cases:
+            assert main(["solve"] + args) == 2, args
+            assert named in _error_message(capsys), args
 
     @pytest.mark.parametrize("args", [
         ["--model", "pendulum", "--guess", "constant:inf"],
@@ -132,7 +171,15 @@ class TestSolve:
          "transient diverged (non-finite state) at step 51850"),
         (["solve", "--param", "b=1e300", "--guess", "rk4:2"],
          "Jacobian numerically singular at Newton iteration 1"),
-    ], ids=["simulate-diverges", "rk4-guess-diverges", "singular-jacobian"])
+        # a stage state reaches inf and the rhs takes math.sin of it
+        (["simulate", "--param", "a=-10", "--initial", "0,1e308",
+          "--cycles", "1", "--steps", "8"],
+         "transient diverged (non-finite state) at step 1"),
+        (["sweep", "--param", "a=0.0", "b=500", "omega=2.0",
+          "--guess", "sin:2.5", "--sweep", "b=500:400:10"],
+         "initial solve did not converge at parameter value 500.0"),
+    ], ids=["simulate-diverges", "rk4-guess-diverges", "singular-jacobian",
+            "simulate-stage-not-finite", "sweep-seed-fails"])
     def test_solver_failure_exits_1_without_traceback(self, args, named,
                                                       capsys):
         rc = main(args + ["--model", "pendulum", "--N", "11"])
@@ -191,16 +238,23 @@ class TestSweep:
         assert data[:3, 0].tolist() == [3.0, 2.0, 1.0]
         assert np.all(data[:, 0] > 0.0)
 
-    def test_invalid_specs_exit_2(self):
+    def test_invalid_specs_exit_2(self, capsys):
         base = ["sweep", "--model", "linear", "--N", "11"]
-        assert main(base + ["--sweep", "p=1:1:0.5"]) == 2
-        assert main(base + ["--sweep", "p=0:1:0"]) == 2
-        assert main(base + ["--sweep", "p=0:nan:0.5"]) == 2
-        assert main(base + ["--sweep", "p=0:inf:0.5"]) == 2
-        assert main(base + ["--sweep", "p=0:1"]) == 2
-        assert main(base + ["--sweep", "q=0:1:0.5"]) == 2
-        assert main(base + ["--sweep", "p=0:1:0.5", "--component", "3"]) == 2
-        assert main(base + ["--sweep", "p=0:1:0.5", "--oversample", "2"]) == 2
+        for args, named in [
+            (["--sweep", "p=1:1:0.5"], "start equals end"),
+            (["--sweep", "p=0:1:0"], "step must be positive"),
+            (["--sweep", "p=0:nan:0.5"], "must be finite"),
+            (["--sweep", "p=0:inf:0.5"], "must be finite"),
+            (["--sweep", "p=0:x:0.5"], "sweep range entry 'x'"),
+            (["--sweep", "p=0:1"], "is not START:END:STEP"),
+            (["--sweep", "q=0:1:0.5"], "has no parameter 'q'"),
+            (["--sweep", "p=0:1:0.5", "--component", "3"],
+             "component 3 out of range"),
+            (["--sweep", "p=0:1:0.5", "--oversample", "2"],
+             "oversample must be at least 4"),
+        ]:
+            assert main(base + args) == 2, args
+            assert named in _error_message(capsys), args
 
     def test_small_oversample_exits_before_the_branch_is_traced(self, monkeypatch):
         def no_sweep(*args, **kwargs):
@@ -237,12 +291,22 @@ class TestInterp:
         expect = 0.5 * (np.cos(ts) + np.sin(ts))
         assert np.max(np.abs(data[:, 2] - expect)) <= 1e-10
 
-    def test_missing_input_exits_2(self, tmp_path):
-        assert main(["interp", "--input", str(tmp_path / "nope.csv")]) == 2
+    def test_missing_input_exits_2(self, tmp_path, capsys):
         bad_row = tmp_path / "bad_row.csv"
-        bad_row.write_text("# N=3\n# columns=phase,tau,x1\n"
-                           "1,2,3\nabc,2,3\n1,2,3\n")
-        assert main(["interp", "--input", str(bad_row)]) == 2
+        bad_row.write_text(_BAD_ROW)
+        not_utf8 = tmp_path / "not_utf8.csv"
+        not_utf8.write_bytes(_NOT_UTF8)
+        even = tmp_path / "even.csv"
+        even.write_text("# N=4\n# columns=phase,tau,x1\n"
+                        + "1,2,3\n" * 4)
+        for path, named in [
+            (tmp_path / "nope.csv", "cannot read solution file"),
+            (bad_row, "data value 'abc'"),
+            (not_utf8, "can't decode byte 0xff"),
+            (even, "odd number N >= 3 of points, got N=4"),
+        ]:
+            assert main(["interp", "--input", str(path)]) == 2, path
+            assert named in _error_message(capsys), path
 
 
 class TestSimulate:
@@ -274,13 +338,19 @@ class TestSimulate:
                              circuit_outputs(states, xdot, p)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_initial_state_must_match_dimension(self, tmp_path):
+    def test_initial_state_must_match_dimension(self, capsys):
         rc = main(["simulate", "--model", "pendulum", "--N", "3",
                    "--cycles", "1", "--steps", "16", "--initial", "1.0"])
         assert rc == 2
+        assert _error_message(capsys) == (
+            "initial state has shape (1,), expected (2,)")
         base = ["simulate", "--model", "linear", "--N", "3"]
-        assert main(base + ["--initial", "a"]) == 2
-        assert main(base + ["--cycles", "0"]) == 2
+        for args, named in [
+            (["--initial", "a"], "initial state value 'a'"),
+            (["--cycles", "0"], "cycles must be >= 1, got 0"),
+        ]:
+            assert main(base + args) == 2, args
+            assert named in _error_message(capsys), args
 
 
 class TestMatrix:
@@ -291,8 +361,10 @@ class TestMatrix:
         _, data = _read(out)
         assert np.array_equal(data, diff_matrix_equispaced(5).entries)
 
-    def test_even_n_exits_2(self):
+    def test_even_n_exits_2(self, capsys):
         assert main(["matrix", "--N", "4"]) == 2
+        assert _error_message(capsys) == (
+            "the periodic grid needs an odd number N >= 3 of points, got N=4")
 
 
 class TestConfigFile:
@@ -316,5 +388,15 @@ class TestConfigFile:
         header2, _ = _read(out2)
         assert header2["param.b"] == "100"
 
-    def test_missing_config_exits_2(self, tmp_path):
-        assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == 2
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        no_header = tmp_path / "no_header.ini"
+        no_header.write_text("model = pendulum\nn = 11\n")
+        duplicate = tmp_path / "duplicate.ini"
+        duplicate.write_text("[run]\nmodel = pendulum\nmodel = linear\n")
+        for path, named in [
+            (tmp_path / "nope.ini", "not found"),
+            (no_header, "no section headers"),
+            (duplicate, "option 'model' in section 'run' already exists"),
+        ]:
+            assert main(["solve", "--config", str(path)]) == 2, path
+            assert named in _error_message(capsys), path

@@ -103,6 +103,19 @@ class TestRk4Transient:
             rk4_transient(bad, cfg)
         assert info.value.step == 13
 
+    def test_value_error_at_a_finite_state_propagates(self):
+        # only a ValueError at a non-finite stage state is divergence
+        def rhs(x, t, _):
+            if x[0] > 1.5:
+                raise ValueError("outside the model's domain")
+            return (1.0,)
+
+        bad = PeriodicSystem(dim=1, rhs=rhs, omega=1.0)
+        cfg = TransientConfig(cycles=1, steps_per_cycle=16,
+                              initial_state=np.array([1.0]))
+        with pytest.raises(ValueError, match="outside the model's domain"):
+            rk4_transient(bad, cfg)
+
     def test_rhs_of_the_wrong_length_is_rejected(self):
         bad = PeriodicSystem(dim=2, rhs=lambda x, t, _: (x[1], -x[0], 1.0),
                              omega=1.0)
