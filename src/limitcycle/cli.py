@@ -10,7 +10,8 @@ digits so files round-trip bitwise.
 Exit codes: 0 success; 1 the solver did not converge or failed (a
 diverging transient, a singular Newton matrix, a sweep whose first point
 fails); 2 invalid input: any argument the library rejects, with its
-message, and malformed config and solution files.  :func:`main` alone
+message, malformed or non-UTF-8 config and solution files, and an
+``--out`` path that cannot be opened.  :func:`main` alone
 turns exceptions into exit codes, each with one ``error:`` line.
 """
 
@@ -135,12 +136,12 @@ def _load_config_file(path: str) -> dict:
     """Section name -> {key: value} of an INI file."""
     parser = configparser.ConfigParser()
     try:
-        if not parser.read(path):
+        if not parser.read(path, encoding="utf-8"):
             raise ValueError(f"config file {path!r} not found")
         return {name: dict(parser[name]) for name in parser.sections()}
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         # its messages span lines; the CLI reports one
-        raise ValueError("malformed config file: "
+        raise ValueError(f"malformed config file {path!r}: "
                          + " ".join(str(exc).split())) from None
 
 
@@ -197,7 +198,7 @@ def _read_solution(path: str):
     header: dict = {}
     rows = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
@@ -209,7 +210,7 @@ def _read_solution(path: str):
                 else:
                     rows.append([_parse_number(tok, float, "data value")
                                  for tok in line.split(",")])
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read solution file {path!r}: {exc}")
     if not rows:
         raise ValueError(f"solution file {path!r} has no data rows")
@@ -349,8 +350,6 @@ def cmd_sweep(args) -> int:
         raise ValueError(
             f"component {component} out of range for {system.dim} states"
         )
-    if args.oversample < 4:
-        raise ValueError("oversample must be at least 4")
 
     def family(p):
         return _instantiate(
@@ -360,7 +359,7 @@ def cmd_sweep(args) -> int:
     grid = problem.grid
     values = np.empty((6, len(branch.points)))
     for i, (p, result) in enumerate(branch.points):
-        hi, lo = extract_extrema(grid, result.X, component, args.oversample)
+        hi, lo = extract_extrema(grid, result.X, component)
         values[:, i] = (p, component, hi, lo, result.iterations,
                         1.0 if result.converged else 0.0)
     extra = [f"sweep={args.sweep}", f"component={component}",
@@ -465,7 +464,6 @@ def _build_parser():
     _add_run_options(sp)
     sp.add_argument("--sweep", required=True, metavar="NAME=START:END:STEP")
     sp.add_argument("--component", type=int, default=0)
-    sp.add_argument("--oversample", type=int, default=8)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("interp", help="densely resample a stored solution")
@@ -498,7 +496,7 @@ def main(argv=None) -> int:
     # the one place where an exception becomes an exit code
     try:
         return args.func(args)
-    except (ValueError, RhsEvaluationError) as exc:
+    except (ValueError, RhsEvaluationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TransientDivergenceError, SingularJacobianError,

@@ -20,12 +20,7 @@ from .solver import (
     SolveResult,
     newton_solve,
 )
-from .spectral import (
-    NodeGrid,
-    apply_derivative,
-    diff_matrix_equispaced,
-    trig_interpolate,
-)
+from .spectral import NodeGrid, trig_interpolate
 from .system import CollocationProblem, RhsEvaluationError
 
 __all__ = [
@@ -140,25 +135,25 @@ def sweep(
 # Newton converges quadratically from within one sample spacing of an
 # extremum; two steps already reach rounding on resolved interpolants
 _NEWTON_STEPS = 4
+# dense samples per node in the search for the extrema
+_OVERSAMPLE = 8
 
 
 def extract_extrema(
     grid: NodeGrid,
     solution: np.ndarray,
     component: int,
-    oversample: int = 8,
 ) -> tuple[float, float]:
     """Per-cycle (max, min) of one component of a collocation solution.
 
-    Samples the trigonometric interpolant p on oversample*N equispaced
-    phases by zero-padded FFT, then sharpens the two discrete extrema
-    with a few Newton steps on p' = 0.  p' and p'' are the interpolants
-    of D x and D^2 x, both trigonometric polynomials of the same degree
-    as p; each step stays within one sample spacing of the sampled
-    extremum and is taken only where p'' has the extremum's curvature.
+    One Fourier series of the trigonometric interpolant p serves the
+    search and the refinement.  Zero-padding it samples p on 8*N
+    equispaced phases; a few Newton steps on p' = 0 then sharpen the two
+    discrete extrema, with p' and p'' summed from the same coefficients,
+    in which differentiation is diagonal.  Each step stays within one
+    sample spacing of the sampled extremum and is taken only where p''
+    has the extremum's curvature.
     """
-    if oversample < 4:
-        raise ValueError("oversample must be at least 4")
     X = np.asarray(solution, dtype=float).ravel()
     N = grid.size
     if X.size == 0 or X.size % N != 0:
@@ -170,25 +165,26 @@ def extract_extrema(
         raise ValueError(f"component {component} out of range for {m} states")
     vals = X[component * N:(component + 1) * N]
 
-    # dense phase i is -pi + 2*pi*i/M, so node j sits at i = oversample*j
-    # (mod M) and the node at pi leads the FFT's input; anchoring at
-    # vals[0] keeps constant data bitwise intact
-    M = oversample * N
+    # dense phase i is -pi + 2*pi*i/M, so node j sits at i = 8*j (mod M)
+    # and the node at pi leads the FFT's input; anchoring at vals[0]
+    # keeps constant data bitwise intact
+    M = _OVERSAMPLE * N
     ts = -np.pi + 2.0 * np.pi * np.arange(M) / M
-    shifted = np.roll(vals - vals[0], 1)
-    dense = np.fft.irfft(np.fft.rfft(shifted), M) * (M / N) + vals[0]
+    coeffs = np.fft.rfft(np.roll(vals - vals[0], 1))
+    dense = np.fft.irfft(coeffs, M) * (M / N) + vals[0]
 
-    D = diff_matrix_equispaced(N)
-    d1 = apply_derivative(D, vals)
-    d2 = apply_derivative(D, d1)
+    # for odd N, p(t) - vals[0] = (c_0 + 2 Re sum_{k>=1} c_k e^{ik(t+pi)})/N,
+    # so p' and p'' weight mode k by ik and -k^2
+    k = np.arange(coeffs.size)
     i_ext = np.array([np.argmax(dense), np.argmin(dense)])
     sign = np.array([1.0, -1.0])
     t0 = ts[i_ext]
     spacing = 2.0 * np.pi / M
     t = t0
     for _ in range(_NEWTON_STEPS):
-        p1 = trig_interpolate(grid, d1, t)
-        p2 = trig_interpolate(grid, d2, t)
+        z = coeffs * np.exp(1j * np.outer(t + np.pi, k))
+        p1 = -(2.0 / N) * (z.imag @ k)
+        p2 = -(2.0 / N) * (z.real @ (k * k))
         curved = sign * p2 < 0.0
         if not curved.any():
             break

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from limitcycle.continuation import (
     BranchSeedError,
@@ -11,7 +12,7 @@ from limitcycle.continuation import (
 )
 from limitcycle.models import PendulumParams, linear_system, pendulum_system
 from limitcycle.solver import NewtonConfig
-from limitcycle.spectral import equispaced_nodes
+from limitcycle.spectral import equispaced_nodes, trig_interpolate
 from limitcycle.system import CollocationProblem, PeriodicSystem, flatten
 
 
@@ -193,6 +194,31 @@ class TestSweep:
             assert extract_extrema(grid, result.X, 0) == (np.pi, np.pi)
 
 
+def _oracle_extrema(grid, x):
+    """(max, min) of the interpolant by brute force: cardinal sums on
+    64*N phases, then a bounded scalar search within one sample spacing
+    of every sampled local extremum."""
+    M = 64 * grid.size
+    ts = -np.pi + 2.0 * np.pi * np.arange(M) / M
+    # in chunks, to keep the M x N kernel small
+    p = np.concatenate([trig_interpolate(grid, x, chunk)
+                        for chunk in np.array_split(ts, 16)])
+    h = 2.0 * np.pi / M
+    out = []
+    for sign in (1.0, -1.0):
+        f = sign * p
+        peaks = np.flatnonzero((f >= np.roll(f, 1)) & (f >= np.roll(f, -1)))
+        best = np.max(f)
+        for i in peaks:
+            res = minimize_scalar(
+                lambda t: -sign * trig_interpolate(grid, x, t),
+                bounds=(ts[i] - h, ts[i] + h), method="bounded",
+                options={"xatol": 1e-13})
+            best = max(best, -res.fun)
+        out.append(sign * best)
+    return tuple(out)
+
+
 class TestExtractExtrema:
     def test_constant_solution_is_exact(self):
         grid = equispaced_nodes(11)
@@ -244,18 +270,21 @@ class TestExtractExtrema:
         hi, _ = extract_extrema(grid, X, 0)
         assert abs(hi - 1.0) <= 1e-9
 
-    def test_oversample_doubling_invariance(self):
-        grid = equispaced_nodes(11)
-        x = np.cos(grid.nodes) + 0.3 * np.sin(3.0 * grid.nodes)
-        a = extract_extrema(grid, x, 0, oversample=8)
-        b = extract_extrema(grid, x, 0, oversample=16)
-        assert abs(a[0] - b[0]) <= 1e-9
-        assert abs(a[1] - b[1]) <= 1e-9
-
-    def test_rejects_small_oversample(self):
-        grid = equispaced_nodes(11)
-        with pytest.raises(ValueError):
-            extract_extrema(grid, np.zeros(11), 0, oversample=3)
+    @pytest.mark.parametrize("N", [11, 101, 251])
+    def test_matches_brute_force_oracle(self, N):
+        rng = np.random.default_rng(N)
+        grid = equispaced_nodes(N)
+        for _ in range(6):
+            modes = np.arange(1, 1 + rng.integers(1, min(12, N // 2) + 1))
+            amps = rng.normal(size=modes.size) / modes**2
+            shifts = rng.uniform(-np.pi, np.pi, size=modes.size)
+            x = rng.normal() + amps @ np.cos(
+                np.outer(modes, grid.nodes) - shifts[:, None])
+            hi, lo = extract_extrema(grid, x, 0)
+            want_hi, want_lo = _oracle_extrema(grid, x)
+            tol = 1e-12 * (1.0 + np.max(np.abs(x)))
+            assert abs(hi - want_hi) <= tol
+            assert abs(lo - want_lo) <= tol
 
     def test_rejects_bad_component_and_shape(self):
         grid = equispaced_nodes(11)
