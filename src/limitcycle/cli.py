@@ -11,8 +11,9 @@ Exit codes: 0 success; 1 the solver did not converge or failed (a
 diverging transient, a singular Newton matrix, a sweep whose first point
 fails); 2 invalid input: any argument the library rejects, with its
 message, malformed or non-UTF-8 config and solution files, and an
-``--out`` path that cannot be opened.  :func:`main` alone
-turns exceptions into exit codes, each with one ``error:`` line.
+``--out`` path that cannot be opened, found before any work.
+:func:`main` alone turns exceptions into exit codes, each with one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import configparser
 import dataclasses
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -169,12 +171,30 @@ def _resolve_config(args) -> RunConfig:
     if N == 0:
         raise ValueError("no node count given (flag --N or config [run] n)")
     params = {**file_params, **_parse_param_items(args.param or ())}
+    out = _pick(args.out, "out", str, None)
+    _check_writable(out)
     return RunConfig(
         model=model, N=N, params=params,
         subharmonic=_pick(args.subharmonic, "subharmonic", int, 1),
         guess=_pick(args.guess, "guess", str, "constant:0"),
-        out=_pick(args.out, "out", str, None),
+        out=out,
     )
+
+
+def _check_writable(path) -> None:
+    """Raise the OSError of an output path that cannot be written, before
+    the work instead of after it.  An existing file is opened for
+    appending, which keeps its contents; a new one is created and
+    removed again.  Pipes and devices are left to the write itself."""
+    if path is None:
+        return
+    existed = os.path.lexists(path)
+    if existed and not (os.path.isfile(path) or os.path.isdir(path)):
+        return
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _instantiate(cfg: RunConfig):
@@ -356,17 +376,17 @@ def cmd_sweep(args) -> int:
             dataclasses.replace(cfg, params={**cfg.params, name: p}))[2]
 
     branch = sweep(family, _initial_guess(cfg, system, problem), spec)
-    grid = problem.grid
-    values = np.empty((6, len(branch.points)))
-    for i, (p, result) in enumerate(branch.points):
-        hi, lo = extract_extrema(grid, result.X, component)
-        values[:, i] = (p, component, hi, lo, result.iterations,
-                        1.0 if result.converged else 0.0)
+    results = [result for _, result in branch.points]
+    hi, lo = extract_extrema(problem.grid, np.array([r.X for r in results]),
+                             component)
+    columns = [[p for p, _ in branch.points], [component] * len(results),
+               hi, lo, [r.iterations for r in results],
+               [1 if r.converged else 0 for r in results]]
     extra = [f"sweep={args.sweep}", f"component={component}",
              f"status={branch.status}"]
     _write_csv(cfg.out, _header_lines(cfg, params, system, extra=extra),
                ["parameter", "component", "max", "min", "iterations",
-                "converged"], list(values))
+                "converged"], columns)
     print(f"{len(branch.points)} point(s), status={branch.status}",
           file=sys.stderr)
     return 0

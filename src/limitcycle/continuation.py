@@ -141,58 +141,67 @@ _OVERSAMPLE = 8
 
 def extract_extrema(
     grid: NodeGrid,
-    solution: np.ndarray,
+    solutions: np.ndarray,
     component: int,
-) -> tuple[float, float]:
-    """Per-cycle (max, min) of one component of a collocation solution.
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Per-cycle (max, min) of one component of collocation solutions.
 
-    One Fourier series of the trigonometric interpolant p serves the
-    search and the refinement.  Zero-padding it samples p on 8*N
-    equispaced phases; a few Newton steps on p' = 0 then sharpen the two
-    discrete extrema, with p' and p'' summed from the same coefficients,
-    in which differentiation is diagonal.  Each step stays within one
-    sample spacing of the sampled extremum and is taken only where p''
-    has the extremum's curvature.
+    ``solutions`` is one flat state (m*N,), which gives two floats, or a
+    stack (P, m*N) of them, one per row as a sweep's branch points are,
+    which gives two (P,) arrays.  All rows go through one pass: one rfft
+    of the trigonometric interpolants p serves the search and the
+    refinement.  Zero-padding it samples p on 8*N equispaced phases; a
+    few Newton steps on p' = 0 then sharpen the two discrete extrema of
+    each row, with p' and p'' summed from the same coefficients, in
+    which differentiation is diagonal.  Each step stays within one
+    sample spacing of the sampled extremum and is zero where p'' lacks
+    the extremum's curvature.  One cardinal-sum evaluation of all rows
+    gives the refined values.
     """
-    X = np.asarray(solution, dtype=float).ravel()
+    X = np.asarray(solutions, dtype=float)
     N = grid.size
-    if X.size == 0 or X.size % N != 0:
+    if X.ndim not in (1, 2) or X.shape[-1] == 0 or X.shape[-1] % N != 0:
         raise ValueError(
-            f"flat state of size {X.size} is not a multiple of {N} nodes"
+            f"states of shape {X.shape} are not (m*N,) or (P, m*N)"
+            f" for {N} nodes"
         )
-    m = X.size // N
+    m = X.shape[-1] // N
     if not 0 <= component < m:
         raise ValueError(f"component {component} out of range for {m} states")
-    vals = X[component * N:(component + 1) * N]
+    vals = np.atleast_2d(X)[:, component * N:(component + 1) * N]
 
     # dense phase i is -pi + 2*pi*i/M, so node j sits at i = 8*j (mod M)
-    # and the node at pi leads the FFT's input; anchoring at vals[0]
-    # keeps constant data bitwise intact
+    # and the node at pi leads the FFT's input; anchoring each row at its
+    # vals[0] keeps constant data bitwise intact
     M = _OVERSAMPLE * N
     ts = -np.pi + 2.0 * np.pi * np.arange(M) / M
-    coeffs = np.fft.rfft(np.roll(vals - vals[0], 1))
-    dense = np.fft.irfft(coeffs, M) * (M / N) + vals[0]
+    anchor = vals[:, :1]
+    coeffs = np.fft.rfft(np.roll(vals - anchor, 1, axis=1), axis=1)
+    dense = np.fft.irfft(coeffs, M, axis=1) * (M / N) + anchor
 
     # for odd N, p(t) - vals[0] = (c_0 + 2 Re sum_{k>=1} c_k e^{ik(t+pi)})/N,
-    # so p' and p'' weight mode k by ik and -k^2
-    k = np.arange(coeffs.size)
-    i_ext = np.array([np.argmax(dense), np.argmin(dense)])
+    # so p' and p'' weight mode k by ik and -k^2; t holds (max, min) per row
+    k = np.arange(coeffs.shape[1])
+    i_ext = np.stack([dense.argmax(axis=1), dense.argmin(axis=1)], axis=1)
+    sampled = np.take_along_axis(dense, i_ext, axis=1)
     sign = np.array([1.0, -1.0])
     t0 = ts[i_ext]
     spacing = 2.0 * np.pi / M
     t = t0
     for _ in range(_NEWTON_STEPS):
-        z = coeffs * np.exp(1j * np.outer(t + np.pi, k))
+        z = coeffs[:, None, :] * np.exp(1j * (t + np.pi)[..., None] * k)
         p1 = -(2.0 / N) * (z.imag @ k)
         p2 = -(2.0 / N) * (z.real @ (k * k))
         curved = sign * p2 < 0.0
         if not curved.any():
+            # every step would be zero (constant rows, say)
             break
         step = np.where(curved, -p1 / np.where(curved, p2, 1.0), 0.0)
         t = np.clip(t + step, t0 - spacing, t0 + spacing)
     refined = trig_interpolate(grid, vals, t)
     # the sampled value is a lower bound on the max (upper on the min)
-    return (
-        float(max(refined[0], dense[i_ext[0]])),
-        float(min(refined[1], dense[i_ext[1]])),
-    )
+    hi = np.maximum(refined[:, 0], sampled[:, 0])
+    lo = np.minimum(refined[:, 1], sampled[:, 1])
+    if X.ndim == 1:
+        return float(hi[0]), float(lo[0])
+    return hi, lo

@@ -141,18 +141,28 @@ def trig_interpolate(grid: NodeGrid, values: np.ndarray, t) -> np.ndarray | floa
         S_j(t) = sin(N * (t - t_j) / 2) / (N * sin((t - t_j) / 2)),
 
     which are 2*pi-periodic for odd N.  A query phase that coincides
-    bitwise with a node returns that node's value exactly.  Scalar t
-    gives a scalar result; an array of phases gives an array.
+    bitwise with a node returns that node's value exactly.
+
+    ``values`` holds nodal data along its last axis, shape (..., N).  For
+    one row (N,), t is a scalar, which gives a float, or phases (Q,).
+    A stack of rows (..., N) takes one row of phases per value row,
+    (..., Q), and gives (..., Q): all rows are one evaluation, as the
+    extrema of a whole branch are.
     """
     x = np.asarray(values, dtype=float)
-    if x.shape != (grid.size,):
+    if x.ndim == 0 or x.shape[-1] != grid.size:
         raise ValueError(
-            f"value vector has shape {x.shape}, expected ({grid.size},)"
+            f"value array has shape {x.shape}, expected (..., {grid.size})"
         )
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     tq = np.atleast_1d(t_arr)
-    u = tq[:, None] - grid.nodes[None, :]
+    if tq.shape[:-1] != x.shape[:-1]:
+        raise ValueError(
+            f"phases of shape {t_arr.shape} do not match value rows of"
+            f" shape {x.shape}"
+        )
+    u = tq[..., None] - grid.nodes
     # reduce to [-pi, pi]: S_j is invariant under 2*pi shifts (N odd), and
     # the raw formula is 0/0-inaccurate near nonzero multiples of 2*pi
     u = u - 2.0 * np.pi * np.round(u / (2.0 * np.pi))
@@ -163,11 +173,14 @@ def trig_interpolate(grid: NodeGrid, values: np.ndarray, t) -> np.ndarray | floa
     kern = num / (grid.size * safe_den)
     # cardinal functions sum to 1 exactly; renormalize the rounded sums
     # so the constant mode does not drift
-    kern /= kern.sum(axis=1, keepdims=True)
+    kern /= kern.sum(axis=-1, keepdims=True)
     # anchoring keeps constant data bitwise intact: the kernel sees only
-    # the deviation from x[0], which vanishes exactly for constants
-    out = kern @ (x - x[0]) + x[0]
-    rows_hit = hit.any(axis=1)
-    if np.any(rows_hit):
-        out[rows_hit] = x[np.argmax(hit[rows_hit], axis=1)]
+    # each row's deviation from its x[0], which vanishes exactly for
+    # constants
+    anchor = x[..., :1]
+    out = (kern @ (x - anchor)[..., None])[..., 0] + anchor
+    on_node = hit.any(axis=-1)
+    if np.any(on_node):
+        node_values = np.take_along_axis(x, hit.argmax(axis=-1), axis=-1)
+        out = np.where(on_node, node_values, out)
     return float(out[0]) if scalar else out

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import limitcycle.cli as cli
 from limitcycle.cli import main
+from limitcycle.continuation import extract_extrema, sweep
 from limitcycle.models import CircuitParams, circuit_outputs, circuit_system
 from limitcycle.spectral import diff_matrix_equispaced, equispaced_nodes
 
@@ -243,6 +245,45 @@ class TestSweep:
         assert data[:3, 0].tolist() == [3.0, 2.0, 1.0]
         assert np.all(data[:, 0] > 0.0)
 
+    def test_inverted_branch_extrema_are_pi_in_every_cell(self, tmp_path):
+        out = tmp_path / "inv.csv"
+        rc = main(["sweep", "--model", "pendulum", "--N", "101",
+                   "--param", "a=0.1", "omega=17.5", "--guess", "pi",
+                   "--sweep", "b=0:200:1", "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if not line.startswith("#")]
+        assert len(rows) == 201
+        pi_text = "%.17g" % np.pi
+        assert all(row[2] == pi_text and row[3] == pi_text for row in rows)
+
+    def test_period_2_extrema_match_per_point_extraction(self, tmp_path,
+                                                         monkeypatch):
+        branches = []
+
+        def recording_sweep(*args, **kwargs):
+            branches.append(sweep(*args, **kwargs))
+            return branches[-1]
+
+        monkeypatch.setattr(cli, "sweep", recording_sweep)
+        out = tmp_path / "p2.csv"
+        rc = main(["sweep", "--model", "pendulum", "--N", "101",
+                   "--subharmonic", "2",
+                   "--param", "a=0.1", "b=181", "omega=17.5",
+                   "--guess", "sin:0.8", "--sweep", "b=181:171:1",
+                   "--out", str(out)])
+        assert rc == 0
+        _, data = _read(out)
+        (branch,) = branches
+        assert data.shape == (len(branch.points), 6) == (11, 6)
+        grid = equispaced_nodes(101)
+        for row, (p, result) in zip(data, branch.points):
+            hi, lo = extract_extrema(grid, result.X, 0)
+            assert row[0] == p
+            assert abs(row[2] - hi) <= 1e-14
+            assert abs(row[3] - lo) <= 1e-14
+        assert np.all(data[:, 2] - data[:, 3] > 1.0)
+
     def test_invalid_specs_exit_2(self, capsys):
         base = ["sweep", "--model", "linear", "--N", "11"]
         for args, named in [
@@ -258,6 +299,44 @@ class TestSweep:
         ]:
             assert main(base + args) == 2, args
             assert named in _error_message(capsys), args
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("args,work", [
+        (["solve", "--model", "linear", "--N", "3"], "newton_solve"),
+        (["sweep", "--model", "pendulum", "--N", "101", "--subharmonic", "2",
+          "--param", "a=0.1", "b=181", "omega=17.5", "--guess", "sin:0.8",
+          "--sweep", "b=181:141:1"], "sweep"),
+        (["simulate", "--model", "linear", "--N", "3"], "rk4_transient"),
+    ], ids=["solve", "sweep", "simulate"])
+    def test_unwritable_out_exits_2_before_the_work(self, args, work,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+        def never(*a, **k):
+            raise AssertionError(f"{work} ran although --out is unwritable")
+
+        monkeypatch.setattr(cli, work, never)
+        for target in [tmp_path / "nodir" / "x.csv", tmp_path]:
+            assert main(args + ["--out", str(target)]) == 2
+            assert str(target) in _error_message(capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args,rc", [
+        (["solve", "--model", "linear", "--N", "3", "--guess", "bogus:1"], 2),
+        (["sweep", "--model", "pendulum", "--N", "11",
+          "--param", "a=0.0", "b=500", "omega=2.0", "--guess", "sin:2.5",
+          "--sweep", "b=500:400:10"], 1),
+    ], ids=["invalid-guess", "sweep-seed-fails"])
+    def test_failed_run_keeps_existing_file_and_leaves_no_new_one(
+            self, args, rc, tmp_path, capsys):
+        existing = tmp_path / "old.csv"
+        existing.write_text("keep me\n")
+        assert main(args + ["--out", str(existing)]) == rc
+        assert existing.read_text() == "keep me\n"
+        new = tmp_path / "new.csv"
+        assert main(args + ["--out", str(new)]) == rc
+        assert not new.exists()
+        capsys.readouterr()
 
 
 class TestInterp:

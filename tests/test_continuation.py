@@ -288,10 +288,58 @@ class TestExtractExtrema:
 
     def test_rejects_bad_component_and_shape(self):
         grid = equispaced_nodes(11)
-        with pytest.raises(ValueError):
-            extract_extrema(grid, np.zeros(22), 2)
-        with pytest.raises(ValueError):
-            extract_extrema(grid, np.zeros(15), 0)
+        for shape in [(22,), (3, 22)]:
+            for component in (2, -1):
+                with pytest.raises(ValueError, match="out of range"):
+                    extract_extrema(grid, np.zeros(shape), component)
+        # a stack's rows must be whole flat states too
+        for shape in [(15,), (3, 15), (3, 0), (2, 3, 11)]:
+            with pytest.raises(ValueError, match="are not"):
+                extract_extrema(grid, np.zeros(shape), 0)
+
+    def test_stack_of_one_row(self):
+        grid = equispaced_nodes(11)
+        x = np.cos(grid.nodes) + np.cos(2.0 * grid.nodes)
+        hi, lo = extract_extrema(grid, x[None, :], 0)
+        assert hi.shape == lo.shape == (1,)
+        assert (hi[0], lo[0]) == extract_extrema(grid, x, 0)
+
+    @given(
+        N=st.sampled_from([11, 21, 101]),
+        constant=st.lists(st.booleans(), min_size=1, max_size=8),
+        component=st.sampled_from([0, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stack_rows_match_single_calls(self, N, constant, component,
+                                           seed):
+        # each row is a two-component state; the chosen component is a
+        # constant or a random multi-mode polynomial, the other one is
+        # always random
+        rng = np.random.default_rng(seed)
+        grid = equispaced_nodes(N)
+        X = np.empty((len(constant), 2 * N))
+        for row, flat in zip(X, constant):
+            for c in range(2):
+                modes = np.arange(1, 1 + rng.integers(1, min(8, N // 2) + 1))
+                amps = rng.normal(size=modes.size) / modes
+                shifts = rng.uniform(-np.pi, np.pi, size=modes.size)
+                row[c * N:(c + 1) * N] = rng.normal() + amps @ np.cos(
+                    np.outer(modes, grid.nodes) - shifts[:, None])
+            if flat:
+                row[component * N:(component + 1) * N] = 3.0 * rng.normal()
+        hi, lo = extract_extrema(grid, X, component)
+        assert hi.shape == lo.shape == (len(constant),)
+        for i, row in enumerate(X):
+            want_hi, want_lo = extract_extrema(grid, row, component)
+            if constant[i]:
+                value = row[component * N]
+                assert hi[i] == want_hi == value
+                assert lo[i] == want_lo == value
+            else:
+                tol = 1e-14 * (1.0 + np.max(np.abs(row)))
+                assert abs(hi[i] - want_hi) <= tol
+                assert abs(lo[i] - want_lo) <= tol
 
     @given(
         coeffs=st.lists(

@@ -246,6 +246,38 @@ class TestTrigInterpolate:
         g = equispaced_nodes(5)
         with pytest.raises(ValueError, match="shape"):
             trig_interpolate(g, np.ones(4), 0.0)
+        with pytest.raises(ValueError, match="do not match"):
+            trig_interpolate(g, np.ones((3, 5)), np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="do not match"):
+            trig_interpolate(g, np.ones((3, 5)), 0.0)
+
+    def test_stacked_rows_match_row_by_row(self):
+        g = equispaced_nodes(9)
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((4, 9))
+        x[2] = 1.5
+        ts = rng.uniform(-4.0, 4.0, size=(4, 6))
+        got = trig_interpolate(g, x, ts)
+        assert got.shape == (4, 6)
+        for row, t_row, got_row in zip(x, ts, got):
+            np.testing.assert_allclose(got_row, trig_interpolate(g, row, t_row),
+                                       rtol=0, atol=1e-14)
+        assert np.all(got[2] == 1.5)
+
+    def test_stacked_rows_hit_nodes_exactly(self):
+        # each row hits a different node, one row two of them, and
+        # another row none
+        g = equispaced_nodes(11)
+        x = np.random.default_rng(3).standard_normal((3, 11))
+        ts = np.array([[g.nodes[4], 0.1],
+                       [0.2, g.nodes[0] + 2.0 * np.pi],
+                       [g.nodes[10], g.nodes[7]]])
+        got = trig_interpolate(g, x, ts)
+        assert got[0, 0] == x[0, 4]
+        assert got[1, 1] == x[1, 0]
+        assert got[2, 0] == x[2, 10] and got[2, 1] == x[2, 7]
+        # a hit replaces only its own entry
+        assert abs(got[0, 1] - trig_interpolate(g, x[0], 0.1)) <= 1e-14
 
 
 @settings(max_examples=25, deadline=None)
