@@ -295,6 +295,7 @@ def _header_lines(cfg: RunConfig, params, system, result=None, extra=()):
     if result is not None:
         lines.append(f"converged={'true' if result.converged else 'false'}")
         lines.append(f"iterations={result.iterations}")
+        lines.append(f"factorizations={result.factorizations}")
         lines.append(f"residual_norm={_fmt(result.residual_norm)}")
     lines.extend(extra)
     return [f"# {line}" for line in lines]

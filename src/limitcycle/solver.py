@@ -3,7 +3,7 @@
 Plain Newton with backtracking on the residual sup norm: the full step
 is halved until the norm decreases, down to a floor fraction; running
 out of damping or iterations is reported in the result, not raised.
-The linear solves are dense LU with partial pivoting.
+The linear solves are dense LU with partial pivoting, reused while cheap.
 """
 
 from __future__ import annotations
@@ -13,11 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrs
 
 from .system import (
     CollocationProblem,
     RhsEvaluationError,
     jacobian,
+    jacobian_blocks,
+    jacobian_product,
     residual,
     residual_from_rhs,
     rhs_stack,
@@ -28,6 +31,9 @@ __all__ = ["NewtonConfig", "SolveResult", "SingularJacobianError", "newton_solve
 # the line search tries the step fractions 1, 1/2, ..., 2**-20 in turn;
 # when all are rejected the iteration gives up
 _STEP_FRACTIONS = tuple(0.5**k for k in range(21))
+# refinement stops at a correction this small relative to the step: the
+# error left is below the cond(J) * eps (cond(J) ~ 1e4) of a fresh LU solve
+_REFINE_FLOOR = 1e-12
 
 
 class SingularJacobianError(RuntimeError):
@@ -63,6 +69,31 @@ class SolveResult:
     converged: bool
     tol: float
     step_history: tuple = ()
+    factorizations: int = 0
+
+
+def _refined_step(problem: CollocationProblem, blocks: np.ndarray,
+                  factor, b: np.ndarray) -> np.ndarray | None:
+    """x with J x = b, J having node blocks ``blocks``, by iterative
+    refinement against ``factor``, the LU of an earlier Jacobian; None
+    when that would cost more than factoring J."""
+    budget = problem.size // 25  # sweeps that cost about one LU
+    # LAPACK directly: lu_solve's checks cost as much on the small grids
+    x = dgetrs(*factor, b)[0]
+    last = float(np.max(np.abs(x)))
+    for sweep in range(budget):
+        dx = dgetrs(*factor, b - jacobian_product(problem, blocks, x))[0]
+        x += dx
+        size = float(np.max(np.abs(dx)))
+        if size <= _REFINE_FLOOR * np.max(np.abs(x)):
+            return x
+        # give up on a correction that does not halve, or on a first
+        # contraction q that needs more than ln(floor) / ln(q) sweeps
+        if size >= 0.5 * last or (
+                sweep == 0 and np.log(_REFINE_FLOOR) / np.log(size / last) > budget):
+            return None
+        last = size
+    return None
 
 
 def newton_solve(problem: CollocationProblem, X0: np.ndarray,
@@ -72,8 +103,8 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray,
     Non-convergence is an outcome (``converged=False``), not an
     exception; only a numerically singular Jacobian raises, or an
     RhsEvaluationError at X0 (f fails or is not finite there) or at an
-    accepted iterate.  A line-search trial where f cannot be evaluated
-    counts as rejected.
+    accepted iterate, or a ValueError when the Jacobian is not finite.
+    A line-search trial where f cannot be evaluated counts as rejected.
     """
     X = np.asarray(X0, dtype=float).copy()
     if X.shape != (problem.size,):
@@ -97,18 +128,27 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray,
     R = residual_from_rhs(problem, X, F)
     norm = float(np.max(np.abs(R)))
     history: list[tuple[int, float, float]] = []
+    factor, factorizations = None, 0
     while norm > tol and len(history) < config.max_iterations:
         it = len(history) + 1
-        J = jacobian(problem, X)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            # J is Fortran-ordered and not used again: factor in place
-            lu, piv = lu_factor(J, overwrite_a=True)
-        # rank deficiency surfaces as a negligible pivot on the U diagonal
-        pivots = np.abs(np.diag(lu))
-        if pivots.min() <= J.shape[0] * np.finfo(float).eps * pivots.max():
-            raise SingularJacobianError(it)
-        delta = lu_solve((lu, piv), -R)
+        blocks = jacobian_blocks(problem, X)
+        # the one finiteness check: LAPACK below is told to skip its own
+        bad = np.flatnonzero(~np.isfinite(blocks).all(axis=(1, 2)))
+        if bad.size:
+            raise ValueError(f"Jacobian is not finite at node index {bad[0]}")
+        delta = None if factor is None else _refined_step(problem, blocks, factor, -R)
+        if delta is None:
+            J = jacobian(problem, X, blocks=blocks)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LinAlgWarning)
+                # J is Fortran-ordered and not used again: factor in place
+                factor = lu_factor(J, overwrite_a=True, check_finite=False)
+            factorizations += 1
+            # rank deficiency surfaces as a negligible pivot on the U diagonal
+            pivots = np.abs(np.diag(factor[0]))
+            if pivots.min() <= J.shape[0] * np.finfo(float).eps * pivots.max():
+                raise SingularJacobianError(it)
+            delta = lu_solve(factor, -R, check_finite=False)
 
         for lam in _STEP_FRACTIONS:
             X_trial = X + lam * delta
@@ -128,4 +168,5 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray,
 
     return SolveResult(X=X, residual_norm=norm, iterations=len(history),
                        converged=norm <= tol, tol=tol,
-                       step_history=tuple(history))
+                       step_history=tuple(history),
+                       factorizations=factorizations)

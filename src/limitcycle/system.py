@@ -40,6 +40,8 @@ __all__ = [
     "residual_from_rhs",
     "rhs_stack",
     "jacobian",
+    "jacobian_blocks",
+    "jacobian_product",
     "node_derivatives",
 ]
 
@@ -295,7 +297,16 @@ def node_derivatives(problem: CollocationProblem, X: np.ndarray) -> np.ndarray:
     return dots
 
 
-def _jac_blocks_fd(problem: CollocationProblem, table: np.ndarray) -> np.ndarray:
+def jacobian_blocks(problem: CollocationProblem, X: np.ndarray, *,
+                    force_fd: bool = False) -> np.ndarray:
+    """The (N, m, m) node blocks of the Jacobian, block j holding
+    d f_k / d x_k' at node j: the system's analytic jac (or jac_table)
+    when it has one and ``force_fd`` is unset, else forward differences.
+    """
+    system = problem.system
+    table = unflatten(X, system.dim, problem.grid.size)
+    if (system.jac is not None or system.jac_table is not None) and not force_fd:
+        return _node_values(problem, table, "jac")
     # Forward differences, one sweep per state component: f at node j only
     # depends on the m values at node j, so all nodes can be perturbed at
     # once.  Step per entry: sqrt(eps) * (1 + |X_i|).
@@ -311,23 +322,18 @@ def _jac_blocks_fd(problem: CollocationProblem, table: np.ndarray) -> np.ndarray
     return blocks
 
 
-def jacobian(problem: CollocationProblem, X: np.ndarray, *, force_fd: bool = False) -> np.ndarray:
+def jacobian(problem: CollocationProblem, X: np.ndarray, *, force_fd: bool = False,
+             blocks: np.ndarray | None = None) -> np.ndarray:
     """Dense Jacobian J = omega_eff * (I_m kron D) - P of the residual.
 
     P consists of m x m blocks of N x N diagonal matrices; block (k, k')
-    carries d f_k / d x_k' at each node.  Uses the system's analytic jac
-    (or jac_table) when available unless ``force_fd`` is set.  J is
+    carries d f_k / d x_k' at each node: ``blocks`` if given, else
+    ``jacobian_blocks(problem, X, force_fd=force_fd)``.  J is
     Fortran-ordered, so that LAPACK can factor it in place.
     """
-    system = problem.system
-    m = system.dim
-    N = problem.grid.size
-    table = unflatten(X, m, N)
-    analytic = system.jac is not None or system.jac_table is not None
-    if analytic and not force_fd:
-        blocks = _node_values(problem, table, "jac")
-    else:
-        blocks = _jac_blocks_fd(problem, table)
+    if blocks is None:
+        blocks = jacobian_blocks(problem, X, force_fd=force_fd)
+    m, N = problem.system.dim, problem.grid.size
     J = np.zeros((m * N, m * N), order="F")
     # J4[k, i, k', j] is the entry of row k*N + i and column k'*N + j
     J4 = J.reshape(m, N, m, N)
@@ -336,3 +342,12 @@ def jacobian(problem: CollocationProblem, X: np.ndarray, *, force_fd: bool = Fal
     nodes = np.arange(N)
     J4[:, nodes, :, nodes] -= blocks
     return J
+
+
+def jacobian_product(problem: CollocationProblem, blocks: np.ndarray,
+                     V: np.ndarray) -> np.ndarray:
+    """J @ V without forming J, from its node blocks: O(m N^2 + N m^2)."""
+    table = unflatten(V, problem.system.dim, problem.grid.size)
+    JV = problem.omega_eff * (table @ problem.D.entries.T)
+    JV -= np.einsum("jkl,lj->kj", blocks, table)
+    return JV.reshape(-1)

@@ -89,6 +89,21 @@ class TestSolve:
         assert header["converged"] == "false"
         assert data.shape[0] == 11  # best iterate still written
 
+    def test_header_reports_factorizations_after_iterations(self, tmp_path):
+        out = tmp_path / "circuit.csv"
+        assert main(["solve", "--model", "circuit", "--N", "251",
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        at = lines.index("# iterations=3")
+        assert lines[at + 1] == "# factorizations=1"
+
+    def test_non_finite_jacobian_exits_2(self, capsys):
+        # f is finite at the zero guess, but the Jacobian's 1/(C2*(R3+R4))
+        # overflows
+        assert main(["solve", "--model", "circuit", "--N", "11",
+                     "--param", "C2=1e-320"]) == 2
+        assert _error_message(capsys) == "Jacobian is not finite at node index 0"
+
     def test_file_guess_rejects_node_mismatch(self, tmp_path):
         first = tmp_path / "first.csv"
         main(["solve", "--model", "linear", "--N", "11", "--out", str(first)])

@@ -1,7 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from limitcycle.models import PendulumParams, linear_system, pendulum_system
+from limitcycle.continuation import SweepConfig, sweep
+from limitcycle.models import (
+    CircuitParams,
+    PendulumParams,
+    circuit_system,
+    linear_system,
+    pendulum_system,
+)
 from limitcycle.solver import (
     NewtonConfig,
     SingularJacobianError,
@@ -13,7 +23,9 @@ from limitcycle.system import (
     PeriodicSystem,
     RhsEvaluationError,
     flatten,
+    jacobian,
     residual,
+    rhs_stack,
 )
 from limitcycle.warmstart import guess_near_pi
 
@@ -192,3 +204,105 @@ def test_initial_norm_is_the_residual_at_the_guess(subharmonic):
     X0 = guess_near_pi(21, 0.8, omega=17.5)
     r = newton_solve(prob, X0, NewtonConfig(max_iterations=0))
     assert r.residual_norm == np.max(np.abs(residual(prob, X0)))
+
+
+def _fresh_lu_newton(problem, X0, max_iterations):
+    """The damped Newton iteration with every Jacobian factored afresh:
+    the reference the refined steps must reproduce.  Returns (X,
+    iterations, converged)."""
+    X = X0.copy()
+    tol = 1e-10 * (1.0 + np.max(np.abs(rhs_stack(problem, X))))
+    R = residual(problem, X)
+    norm = np.max(np.abs(R))
+    iterations = 0
+    while norm > tol and iterations < max_iterations:
+        delta = np.linalg.solve(jacobian(problem, X), -R)
+        for lam in 0.5 ** np.arange(21):
+            R_trial = residual(problem, X + lam * delta)
+            if np.max(np.abs(R_trial)) < norm:
+                break
+        else:
+            break
+        X, R = X + lam * delta, R_trial
+        norm = np.max(np.abs(R))
+        iterations += 1
+    return X, iterations, norm <= tol
+
+
+def _assert_matches_fresh_lu(problem, X0):
+    # the iterate after two steps, not yet converged, shows an inexact
+    # second step that the converged solution would hide
+    for max_iterations in (2, NewtonConfig().max_iterations):
+        r = newton_solve(problem, X0, NewtonConfig(max_iterations=max_iterations))
+        X, iterations, converged = _fresh_lu_newton(problem, X0, max_iterations)
+        assert (r.iterations, r.converged) == (iterations, converged)
+        np.testing.assert_allclose(r.X, X, rtol=0,
+                                   atol=1e-10 * np.max(np.abs(X)))
+    return r
+
+
+class TestKeptFactorization:
+    @settings(max_examples=20, deadline=None)
+    @given(A_m=st.floats(3.0, 12.0), R4=st.floats(1.0, 3.0),
+           N=st.sampled_from([51, 101]))
+    def test_circuit_steps_match_fresh_factorizations(self, A_m, R4, N):
+        prob = CollocationProblem.build(
+            circuit_system(CircuitParams(A_m=A_m, R4=R4)), N)
+        r = _assert_matches_fresh_lu(prob, np.zeros(prob.size))
+        assert r.factorizations < r.iterations
+
+    def test_default_circuit_factors_once(self):
+        prob = CollocationProblem.build(circuit_system(CircuitParams()), 251)
+        r = newton_solve(prob, np.zeros(prob.size))
+        assert r.converged
+        assert (r.iterations, r.factorizations) == (3, 1)
+
+    def test_period_two_seed_factors_again_when_refinement_gives_up(self):
+        # the CLI's sin:0.8 guess: J moves too far in the large early
+        # steps, so iterations 2-4 factor again; the last two refine
+        prob = CollocationProblem.build(
+            pendulum_system(PendulumParams(a=0.1, b=181.0, omega=17.5),
+                            subharmonic=2), 101)
+        r = _assert_matches_fresh_lu(
+            prob, guess_near_pi(101, 0.8, 1, 17.5, 2))
+        assert r.converged
+        assert r.factorizations > 1
+
+    def test_finite_difference_blocks_refine(self):
+        system = dataclasses.replace(circuit_system(CircuitParams()),
+                                     jac_table=None)
+        prob = CollocationProblem.build(system, 101)
+        r = _assert_matches_fresh_lu(prob, np.zeros(prob.size))
+        assert r.converged
+        assert r.factorizations < r.iterations
+
+
+def _infinite_jacobian_family(p):
+    # x' = -x + p*cos t, whose Jacobian is made infinite at p = 0 for
+    # phases beyond 1
+    def jac(x, t, q):
+        return np.array([[-np.inf if q == 0.0 and t > 1.0 else -1.0]])
+
+    return CollocationProblem.build(
+        PeriodicSystem(dim=1, rhs=lambda x, t, q: (-x[0] + q * np.cos(t),),
+                       jac=jac, omega=1.0, params=p), 11)
+
+
+class TestNonFiniteJacobian:
+    def test_raises_value_error_naming_the_node(self):
+        prob = _infinite_jacobian_family(0.0)
+        X0 = np.cos(prob.grid.nodes)
+        with pytest.raises(ValueError) as info:
+            newton_solve(prob, X0)
+        # the first node past phase 1
+        node = int(np.argmax(prob.grid.nodes > 1.0))
+        assert str(info.value) == f"Jacobian is not finite at node index {node}"
+
+    def test_counts_as_failed_sweep_step(self):
+        # the trial at p = 0 fails; the halved step lands on 0.25 and the
+        # regrown one steps over it
+        br = sweep(_infinite_jacobian_family, np.zeros(11),
+                   SweepConfig("p", 1.0, -1.0, 0.5))
+        assert [p for p, _ in br.points] == [1.0, 0.5, 0.25, -0.25, -0.75,
+                                             -1.0]
+        assert br.status == "completed"
