@@ -78,6 +78,8 @@ def _refined_step(problem: CollocationProblem, blocks: np.ndarray,
     refinement against ``factor``, the LU of an earlier Jacobian; None
     when that would cost more than factoring J."""
     budget = problem.size // 25  # sweeps that cost about one LU
+    if budget == 0:
+        return None
     # LAPACK directly: lu_solve's checks cost as much on the small grids
     x = dgetrs(*factor, b)[0]
     last = float(np.max(np.abs(x)))

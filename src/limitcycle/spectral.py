@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.blas import dgemm, dgemv
 
 __all__ = [
     "NodeGrid",
@@ -130,7 +131,20 @@ def apply_derivative(D: DiffMatrix, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"value array has shape {x.shape}, expected (..., {N})"
         )
-    return (x - x[..., :1]) @ D.entries.T
+    if x.ndim > 2:
+        return apply_derivative(D, x.reshape(-1, N)).reshape(x.shape)
+    return _times_dt(D, x - x[..., :1])
+
+
+def _times_dt(D: DiffMatrix, y: np.ndarray) -> np.ndarray:
+    """``y @ D.entries.T`` for y (N,) or (K, N) on scipy's BLAS, which
+    factors J: numpy's own OpenBLAS threads would spin on against the LU.
+    gemv for one row and gemm otherwise, as numpy does, so bitwise equal."""
+    if y.ndim == 1:
+        return dgemv(1.0, D.entries.T, y, trans=1)
+    if len(y) == 1:
+        return dgemv(1.0, D.entries.T, y[0], trans=1)[None]
+    return dgemm(1.0, D.entries.T, y.T, trans_a=1).T
 
 
 def trig_interpolate(grid: NodeGrid, values: np.ndarray, t) -> np.ndarray | float:

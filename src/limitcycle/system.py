@@ -28,7 +28,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .spectral import DiffMatrix, NodeGrid, apply_derivative, diff_matrix_equispaced
+from .spectral import (DiffMatrix, NodeGrid, _times_dt, apply_derivative,
+                       diff_matrix_equispaced)
 
 __all__ = [
     "PeriodicSystem",
@@ -348,6 +349,6 @@ def jacobian_product(problem: CollocationProblem, blocks: np.ndarray,
                      V: np.ndarray) -> np.ndarray:
     """J @ V without forming J, from its node blocks: O(m N^2 + N m^2)."""
     table = unflatten(V, problem.system.dim, problem.grid.size)
-    JV = problem.omega_eff * (table @ problem.D.entries.T)
+    JV = problem.omega_eff * _times_dt(problem.D, table)
     JV -= np.einsum("jkl,lj->kj", blocks, table)
     return JV.reshape(-1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from limitcycle import solver
 from limitcycle.continuation import SweepConfig, sweep
 from limitcycle.models import (
     CircuitParams,
@@ -267,6 +268,20 @@ class TestKeptFactorization:
             prob, guess_near_pi(101, 0.8, 1, 17.5, 2))
         assert r.converged
         assert r.factorizations > 1
+
+    @pytest.mark.parametrize("N, refines", [(7, False), (9, True)])
+    def test_no_refinement_solve_without_a_sweep_budget(self, monkeypatch,
+                                                       N, refines):
+        # mN = 21 < 25 leaves a budget of 0 sweeps: the kept LU is not
+        # tried at all; at mN = 27 it is tried and given up on
+        calls = []
+        dgetrs = solver.dgetrs
+        monkeypatch.setattr(solver, "dgetrs",
+                            lambda *args: calls.append(1) or dgetrs(*args))
+        prob = CollocationProblem.build(circuit_system(CircuitParams()), N)
+        r = _assert_matches_fresh_lu(prob, np.zeros(prob.size))
+        assert r.factorizations == r.iterations == 3
+        assert bool(calls) == refines
 
     def test_finite_difference_blocks_refine(self):
         system = dataclasses.replace(circuit_system(CircuitParams()),

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from limitcycle.spectral import (
     NodeGrid,
+    _times_dt,
     apply_derivative,
     diff_matrix_equispaced,
     equispaced_nodes,
@@ -163,6 +164,24 @@ class TestApplyDerivative:
             apply_derivative(D, np.zeros(4))
         with pytest.raises(ValueError, match="shape"):
             apply_derivative(D, np.zeros((2, 4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(half=st.integers(1, 250), rows=st.sampled_from([None, 1, 2, 3, 4]),
+       seed=st.integers(0, 2**32 - 1))
+@example(half=250, rows=None, seed=0)
+@example(half=250, rows=1, seed=0)
+@example(half=250, rows=3, seed=0)
+def test_products_round_bitwise_as_numpy(half, rows, seed):
+    # D products run on scipy's BLAS, not numpy's; they must still round
+    # exactly as numpy's @, also at N = 501, where OpenBLAS threads them
+    N = 2 * half + 1
+    D = diff_matrix_equispaced(N)
+    x = np.random.default_rng(seed).standard_normal(
+        (N,) if rows is None else (rows, N))
+    assert np.array_equal(apply_derivative(D, x),
+                          (x - x[..., :1]) @ D.entries.T)
+    assert np.array_equal(_times_dt(D, x), x @ D.entries.T)
 
 
 @settings(max_examples=40, deadline=None)

@@ -22,6 +22,8 @@ from limitcycle.system import (
     RhsEvaluationError,
     flatten,
     jacobian,
+    jacobian_blocks,
+    jacobian_product,
     node_derivatives,
     residual,
     rhs_stack,
@@ -201,6 +203,29 @@ class TestJacobian:
             Xp[i] += h
             J_naive[:, i] = (residual(prob, Xp) - R0) / h
         assert np.max(np.abs(J - J_naive)) <= 1e-6 * max(1.0, np.max(np.abs(J)))
+
+
+class TestJacobianProduct:
+    @pytest.mark.parametrize("system, N, force_fd", [
+        (linear_system(1.0), 31, False),
+        (pendulum_system(PendulumParams(a=0.1, b=181.0, omega=17.5),
+                         subharmonic=2), 51, False),
+        (circuit_system(CircuitParams()), 51, False),
+        (circuit_system(CircuitParams()), 51, True),
+    ])
+    def test_matches_the_dense_jacobian(self, system, N, force_fd):
+        prob = CollocationProblem.build(system, N)
+        rng = np.random.default_rng(N + system.dim)
+        X = rng.uniform(-2, 2, prob.size)
+        V = rng.standard_normal(prob.size)
+        blocks = jacobian_blocks(prob, X, force_fd=force_fd)
+        want = (jacobian(prob, X, blocks=blocks) @ V).reshape(system.dim, N)
+        got = jacobian_product(prob, blocks, V).reshape(system.dim, N)
+        # relative per component: the circuit's rows differ in scale
+        assert np.all(np.max(np.abs(got - want), axis=1)
+                      <= 1e-12 * np.max(np.abs(want), axis=1))
+        if system.dim == 3:
+            assert prob.jump_nodes.size
 
 
 class TestNodeDerivatives:
