@@ -20,7 +20,7 @@ from .models import (
     pendulum_system,
     square_wave,
 )
-from .solver import NewtonConfig, SingularJacobianError, SolveResult, newton_solve
+from .solver import SingularJacobianError, SolveResult, newton_solve
 from .spectral import (
     DiffMatrix,
     NodeGrid,
@@ -55,7 +55,6 @@ __all__ = [
     "CollocationProblem",
     "DiffMatrix",
     "LinearParams",
-    "NewtonConfig",
     "NodeGrid",
     "PendulumParams",
     "PeriodicSystem",

@@ -14,12 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .solver import (
-    NewtonConfig,
-    SingularJacobianError,
-    SolveResult,
-    newton_solve,
-)
+from .solver import SingularJacobianError, SolveResult, newton_solve
 from .spectral import NodeGrid, trig_interpolate
 from .system import CollocationProblem, RhsEvaluationError
 
@@ -86,7 +81,6 @@ def sweep(
     problem_family: Callable[[float], CollocationProblem],
     X0: np.ndarray,
     cfg: SweepConfig,
-    newton_cfg: NewtonConfig | None = None,
 ) -> Branch:
     """March the parameter from start to end, warm-starting each solve.
 
@@ -98,9 +92,8 @@ def sweep(
     not finite at the warm start or the Newton matrix is singular counts
     as a failed solve.
     """
-    ncfg = newton_cfg if newton_cfg is not None else NewtonConfig()
     p = float(cfg.start)
-    seed = newton_solve(problem_family(p), np.asarray(X0, dtype=float), ncfg)
+    seed = newton_solve(problem_family(p), np.asarray(X0, dtype=float))
     if not seed.converged:
         raise BranchSeedError(p)
     points = [(p, seed)]
@@ -117,7 +110,7 @@ def sweep(
         if p_trial == p:
             return Branch(tuple(points), "truncated")
         try:
-            result = newton_solve(problem_family(p_trial), X, ncfg)
+            result = newton_solve(problem_family(p_trial), X)
         except (ValueError, RhsEvaluationError, SingularJacobianError):
             result = None
         if result is not None and result.converged:

@@ -161,10 +161,13 @@ class CircuitParams:
     T_abs: float = 300.0
 
     def __post_init__(self):
-        # the diode's closed form takes ln((R1+R2)*i_s / (eta*V_T))
-        for name, value in (("i_s", self.i_s), ("eta", self.eta),
-                            ("T_abs", self.T_abs),
-                            ("R1 + R2", self.R1 + self.R2)):
+        # the diode's closed form takes ln((R1+R2)*i_s / (eta*V_T)); the
+        # others divide: omega = 2*pi/T_period and the rhs by C1, C2, L, R3+R4
+        for name, value in (("T_period", self.T_period), ("i_s", self.i_s),
+                            ("eta", self.eta), ("T_abs", self.T_abs),
+                            ("R1 + R2", self.R1 + self.R2), ("C1", self.C1),
+                            ("C2", self.C2), ("L", self.L),
+                            ("R3 + R4", self.R3 + self.R4)):
             if not value > 0:
                 raise ValueError(
                     f"circuit parameter {name} must be > 0, got {value}")

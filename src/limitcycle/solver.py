@@ -22,11 +22,12 @@ from .system import (
     jacobian_blocks,
     jacobian_product,
     residual,
-    residual_from_rhs,
     rhs_stack,
 )
 
-__all__ = ["NewtonConfig", "SolveResult", "SingularJacobianError", "newton_solve"]
+__all__ = ["SolveResult", "SingularJacobianError", "newton_solve"]
+
+_MAX_ITERATIONS = 50  # then a solve that has not converged gives up
 
 # the line search tries the step fractions 1, 1/2, ..., 2**-20 in turn;
 # when all are rejected the iteration gives up
@@ -44,19 +45,6 @@ class SingularJacobianError(RuntimeError):
         super().__init__(
             f"Jacobian numerically singular at Newton iteration {iteration}"
         )
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Residual tolerance and iteration limit.
-
-    ``tol_residual=None`` resolves at solve time to
-    ``1e-10 * (1 + ||F(X0)||_inf)``, scaling the target with the size of
-    the rhs at the initial guess.
-    """
-
-    tol_residual: float | None = None
-    max_iterations: int = 50
 
 
 @dataclass(frozen=True)
@@ -98,10 +86,12 @@ def _refined_step(problem: CollocationProblem, blocks: np.ndarray,
     return None
 
 
-def newton_solve(problem: CollocationProblem, X0: np.ndarray,
-                 config: NewtonConfig = NewtonConfig()) -> SolveResult:
+def newton_solve(problem: CollocationProblem, X0: np.ndarray) -> SolveResult:
     """Drive the collocation residual of ``problem`` to zero from X0.
 
+    Converged means a residual sup norm of at most ``tol = 1e-10 * (1 +
+    ||F(X0)||_inf)``, scaled with the rhs at the initial guess, reached
+    within ``_MAX_ITERATIONS`` (50) iterations.
     Non-convergence is an outcome (``converged=False``), not an
     exception; only a numerically singular Jacobian raises, or an
     RhsEvaluationError at X0 (f fails or is not finite there) or at an
@@ -122,16 +112,13 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray,
         node = int(bad[0] % problem.grid.size)
         raise RhsEvaluationError(
             node, f"rhs is not finite at node index {node} of the initial state")
-    if config.tol_residual is not None:
-        tol = config.tol_residual
-    else:
-        tol = 1e-10 * (1.0 + float(np.max(np.abs(F))))
+    tol = 1e-10 * (1.0 + float(np.max(np.abs(F))))
 
-    R = residual_from_rhs(problem, X, F)
+    R = residual(problem, X, F)
     norm = float(np.max(np.abs(R)))
     history: list[tuple[int, float, float]] = []
     factor, factorizations = None, 0
-    while norm > tol and len(history) < config.max_iterations:
+    while norm > tol and len(history) < _MAX_ITERATIONS:
         it = len(history) + 1
         blocks = jacobian_blocks(problem, X)
         # the one finiteness check: LAPACK below is told to skip its own

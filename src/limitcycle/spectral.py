@@ -118,21 +118,18 @@ def diff_matrix_equispaced(N: int) -> DiffMatrix:
 def apply_derivative(D: DiffMatrix, x: np.ndarray) -> np.ndarray:
     """Apply the differentiation matrix to nodal values x.
 
-    x holds nodal values along its last axis, shape (..., N); every
-    leading index is one independent vector.  This evaluates
-    ``(x - x[..., :1]) @ D.T``: since D annihilates constants this equals
-    ``x @ D.T`` analytically, and it keeps constant vectors exactly in
-    the kernel in floating point as well (row sums of D only cancel to
-    rounding).
+    x holds nodal values, shape (N,) or (K, N), each row one independent
+    vector.  This evaluates ``(x - x[..., :1]) @ D.T``: since D
+    annihilates constants this equals ``x @ D.T`` analytically, and it
+    keeps constant vectors exactly in the kernel in floating point as
+    well (row sums of D only cancel to rounding).
     """
     x = np.asarray(x, dtype=float)
     N = D.grid.size
-    if x.ndim == 0 or x.shape[-1] != N:
+    if x.ndim not in (1, 2) or x.shape[-1] != N:
         raise ValueError(
-            f"value array has shape {x.shape}, expected (..., {N})"
+            f"value array has shape {x.shape}, expected ({N},) or (K, {N})"
         )
-    if x.ndim > 2:
-        return apply_derivative(D, x.reshape(-1, N)).reshape(x.shape)
     return _times_dt(D, x - x[..., :1])
 
 

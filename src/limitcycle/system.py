@@ -38,7 +38,6 @@ __all__ = [
     "flatten",
     "unflatten",
     "residual",
-    "residual_from_rhs",
     "rhs_stack",
     "jacobian",
     "jacobian_blocks",
@@ -265,17 +264,12 @@ def rhs_stack(problem: CollocationProblem, X: np.ndarray) -> np.ndarray:
     return _node_values(problem, table, "rhs").T.reshape(-1)
 
 
-def residual(problem: CollocationProblem, X: np.ndarray) -> np.ndarray:
-    """Collocation residual R(X) = omega_eff * (I kron D) X - F(X)."""
-    return residual_from_rhs(problem, X, rhs_stack(problem, X))
-
-
-def residual_from_rhs(problem: CollocationProblem, X: np.ndarray,
-                      F: np.ndarray) -> np.ndarray:
-    """The residual at X from its rhs stack F = rhs_stack(problem, X).
-
-    Bitwise equal to ``residual(problem, X)``, without evaluating f again.
-    """
+def residual(problem: CollocationProblem, X: np.ndarray,
+             F: np.ndarray | None = None) -> np.ndarray:
+    """Collocation residual R(X) = omega_eff * (I kron D) X - F(X); a
+    given F must be ``rhs_stack(problem, X)``, so f is not evaluated again."""
+    if F is None:
+        F = rhs_stack(problem, X)
     m, N = problem.system.dim, problem.grid.size
     table = unflatten(X, m, N)
     R = problem.omega_eff * apply_derivative(problem.D, table) - unflatten(F, m, N)

@@ -212,17 +212,26 @@ class TestSolve:
 
     @pytest.mark.parametrize("model,param,named", [
         ("pendulum", "omega=0", "forcing frequency"),
-        ("circuit", "T_period=-1e-5", "forcing frequency"),
+        ("circuit", "T_period=-1e-5", "T_period"),
+        ("circuit", "T_period=0", "T_period"),
         ("circuit", "i_s=0", "i_s"),
         ("circuit", "eta=-0.9", "eta"),
         ("circuit", "T_abs=0", "T_abs"),
+        ("circuit", "C1=0", "C1"),
+        ("circuit", "C2=0", "C2"),
+        ("circuit", "L=0", "L"),
+        ("circuit", "R3=-2 R4=2", "R3 + R4"),
     ])
     def test_bad_model_parameters_exit_2(self, model, param, named, capsys):
-        # i_s=0 used to pass as converged with an inf residual
-        assert main(["solve", "--model", model, "--N", "5",
-                     "--param", param]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and named in err
+        # i_s=0 would pass as converged with an inf residual, and the
+        # scalar rhs of an rk4 guess or of simulate divides by C1, C2, L
+        # and R3 + R4: each command must refuse the record up front
+        for command in (["solve"], ["solve", "--guess", "rk4:1"],
+                        ["simulate", "--cycles", "1", "--steps", "40"]):
+            assert main(command + ["--model", model, "--N", "5",
+                                   "--param", *param.split()]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and named in err
 
 
 class TestSweep:
@@ -259,6 +268,17 @@ class TestSweep:
         assert header["status"] == "truncated"
         assert data[:3, 0].tolist() == [3.0, 2.0, 1.0]
         assert np.all(data[:, 0] > 0.0)
+
+    def test_range_through_zero_period_truncates(self, tmp_path):
+        # the model rejects T_period = 0 (omega = 2*pi/T_period), so the
+        # step halves toward it until the branch truncates at its floor
+        out = tmp_path / "sw.csv"
+        rc = main(["sweep", "--model", "circuit", "--N", "11", "--sweep",
+                   "T_period=1e-5:0:5e-6", "--out", str(out)])
+        assert rc == 0
+        header, data = _read(out)
+        assert header["status"] == "truncated"
+        assert data[:, 0].tolist() == [1e-5 * 0.5**k for k in range(8)]
 
     def test_inverted_branch_extrema_are_pi_in_every_cell(self, tmp_path):
         out = tmp_path / "inv.csv"

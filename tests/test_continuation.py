@@ -10,8 +10,8 @@ from limitcycle.continuation import (
     extract_extrema,
     sweep,
 )
+from limitcycle import solver
 from limitcycle.models import PendulumParams, linear_system, pendulum_system
-from limitcycle.solver import NewtonConfig
 from limitcycle.spectral import equispaced_nodes, trig_interpolate
 from limitcycle.system import CollocationProblem, PeriodicSystem, flatten
 
@@ -90,29 +90,23 @@ class TestSweep:
         assert br.status == "truncated"
         assert [p for p, _ in br.points] == [1.0]
 
-    def test_seed_failure_raises_with_parameter(self):
+    def test_seed_failure_raises_with_parameter(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 0)
         with pytest.raises(BranchSeedError) as info:
-            sweep(
-                _linear_family,
-                np.full(11, 50.0),
-                SweepConfig("p", 1.0, 2.0, 0.5),
-                NewtonConfig(max_iterations=0),
-            )
+            sweep(_linear_family, np.full(11, 50.0),
+                  SweepConfig("p", 1.0, 2.0, 0.5))
         assert info.value.parameter == 1.0
 
-    def test_step_underflow_truncates_instead_of_raising(self):
+    def test_step_underflow_truncates_instead_of_raising(self, monkeypatch):
         # the seed state is exact at p=0 (zero iterations), while any
         # nonzero parameter move cannot converge with zero iterations
-        br = sweep(
-            _linear_family,
-            np.zeros(11),
-            SweepConfig("p", 0.0, 1.0, 0.25),
-            NewtonConfig(max_iterations=0),
-        )
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 0)
+        br = sweep(_linear_family, np.zeros(11),
+                   SweepConfig("p", 0.0, 1.0, 0.25))
         assert br.status == "truncated"
         assert len(br.points) == 1
 
-    def test_step_halves_down_to_a_64th_then_truncates(self):
+    def test_step_halves_down_to_a_64th_then_truncates(self, monkeypatch):
         # up to p = 1 the linear model converges in the one Newton
         # iteration allowed; beyond it the cubic model cannot, whatever
         # the step, so the step halves from 1 to its floor 1/64
@@ -122,8 +116,8 @@ class TestSweep:
             trials.append(p)
             return _linear_family(p) if p <= 1.0 else _cubic_family(p, 11)
 
-        br = sweep(family, np.zeros(11), SweepConfig("p", 0.0, 3.0, 1.0),
-                   NewtonConfig(max_iterations=1))
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
+        br = sweep(family, np.zeros(11), SweepConfig("p", 0.0, 3.0, 1.0))
         assert br.status == "truncated"
         assert [p for p, _ in br.points] == [0.0, 1.0]
         assert [p - 1.0 for p in trials[2:]] == [2.0**-k for k in range(7)]
@@ -168,15 +162,12 @@ class TestSweep:
         assert [p for p, _ in br.points] == [1.0, 0.5] + [2.0**-k
                                                           for k in range(2, 8)]
 
-    def test_adaptive_halving_recovers_and_completes(self):
+    def test_adaptive_halving_recovers_and_completes(self, monkeypatch):
         # the full jump to p=2 exceeds the iteration budget; halving to
         # p=1 succeeds, then the branch reaches the endpoint
-        br = sweep(
-            _cubic_family,
-            np.zeros(17),
-            SweepConfig("p", 0.0, 2.0, 2.0),
-            NewtonConfig(max_iterations=5),
-        )
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 5)
+        br = sweep(_cubic_family, np.zeros(17),
+                   SweepConfig("p", 0.0, 2.0, 2.0))
         assert br.status == "completed"
         assert [p for p, _ in br.points] == [0.0, 1.0, 2.0]
 

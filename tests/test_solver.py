@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,12 +14,7 @@ from limitcycle.models import (
     linear_system,
     pendulum_system,
 )
-from limitcycle.solver import (
-    NewtonConfig,
-    SingularJacobianError,
-    SolveResult,
-    newton_solve,
-)
+from limitcycle.solver import SingularJacobianError, SolveResult, newton_solve
 from limitcycle.system import (
     CollocationProblem,
     PeriodicSystem,
@@ -102,6 +98,22 @@ class TestPendulum:
         r = newton_solve(prob, guess_near_pi(51, 0.3, omega=17.5))
         assert r.residual_norm == np.max(np.abs(residual(prob, r.X)))
 
+    @pytest.mark.parametrize("eps, iterations", [(0.0, 0), (0.01, 2)])
+    def test_one_rhs_evaluation_per_start_and_trial(self, eps, iterations):
+        # the initial rhs stack serves both the tolerance and the first
+        # residual; the analytic Jacobian and the refinement evaluate no f
+        system = pendulum_system(PendulumParams(a=0.1, b=10.0, omega=17.5))
+        calls = []
+        table = system.rhs_table
+        prob = CollocationProblem.build(dataclasses.replace(
+            system, rhs_table=lambda *a: calls.append(1) or table(*a)), 101)
+        t = prob.grid.nodes
+        X0 = flatten(np.vstack([np.pi + eps * np.cos(t), np.zeros(101)]))
+        r = newton_solve(prob, X0)
+        assert r.converged and r.iterations == iterations
+        assert all(lam == 1.0 for _, _, lam in r.step_history)
+        assert len(calls) == 1 + iterations
+
     def test_determinism(self):
         prob = CollocationProblem.build(
             pendulum_system(PendulumParams(a=0.1, b=181.0, omega=17.5),
@@ -123,24 +135,23 @@ class TestFailureModes:
             newton_solve(prob, np.zeros(5))
         assert info.value.iteration == 1
 
-    def test_nonconvergence_is_reported_not_raised(self):
+    def test_nonconvergence_is_reported_not_raised(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
         prob = CollocationProblem.build(
             pendulum_system(PendulumParams(a=0.1, b=181.0, omega=17.5)), 21)
-        cfg = NewtonConfig(max_iterations=1, tol_residual=1e-14)
         r = newton_solve(prob, guess_near_pi(21, 0.8, omega=17.5))
-        del r
-        r = newton_solve(prob, guess_near_pi(21, 0.8, omega=17.5), cfg)
         assert isinstance(r, SolveResult)
         assert not r.converged
         assert r.iterations <= 1
 
-    def test_best_iterate_returned_on_stall(self):
+    def test_best_iterate_returned_on_stall(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 2)
         prob = CollocationProblem.build(
             pendulum_system(PendulumParams(a=0.1, b=181.0, omega=17.5)), 21)
         X0 = guess_near_pi(21, 0.8, omega=17.5)
         start_norm = np.max(np.abs(residual(prob, X0)))
-        r = newton_solve(prob, X0, NewtonConfig(max_iterations=2,
-                                                tol_residual=1e-16))
+        r = newton_solve(prob, X0)
+        assert not r.converged
         assert r.residual_norm <= start_norm
         assert r.residual_norm == np.max(np.abs(residual(prob, r.X)))
 
@@ -148,12 +159,6 @@ class TestFailureModes:
         prob = CollocationProblem.build(linear_system(1.0), 5)
         with pytest.raises(ValueError, match="shape"):
             newton_solve(prob, np.zeros(6))
-
-    def test_explicit_tolerance_respected(self):
-        prob = CollocationProblem.build(linear_system(1.0), 5)
-        r = newton_solve(prob, np.zeros(5), NewtonConfig(tol_residual=1e-3))
-        assert r.tol == 1e-3
-        assert r.converged
 
 
 def _bounded_arctan(limit):
@@ -197,13 +202,15 @@ class TestFailedTrials:
 
 
 @pytest.mark.parametrize("subharmonic", [1, 2])
-def test_initial_norm_is_the_residual_at_the_guess(subharmonic):
+def test_initial_norm_is_the_residual_at_the_guess(subharmonic,
+                                                   monkeypatch):
     # the first residual is formed from the tolerance's rhs stack
+    monkeypatch.setattr(solver, "_MAX_ITERATIONS", 0)
     prob = CollocationProblem.build(
         pendulum_system(PendulumParams(a=0.1, b=181.0, omega=17.5),
                         subharmonic), 21)
     X0 = guess_near_pi(21, 0.8, omega=17.5)
-    r = newton_solve(prob, X0, NewtonConfig(max_iterations=0))
+    r = newton_solve(prob, X0)
     assert r.residual_norm == np.max(np.abs(residual(prob, X0)))
 
 
@@ -233,8 +240,10 @@ def _fresh_lu_newton(problem, X0, max_iterations):
 def _assert_matches_fresh_lu(problem, X0):
     # the iterate after two steps, not yet converged, shows an inexact
     # second step that the converged solution would hide
-    for max_iterations in (2, NewtonConfig().max_iterations):
-        r = newton_solve(problem, X0, NewtonConfig(max_iterations=max_iterations))
+    for max_iterations in (2, solver._MAX_ITERATIONS):
+        # not monkeypatch: hypothesis rejects function-scoped fixtures
+        with mock.patch.object(solver, "_MAX_ITERATIONS", max_iterations):
+            r = newton_solve(problem, X0)
         X, iterations, converged = _fresh_lu_newton(problem, X0, max_iterations)
         assert (r.iterations, r.converged) == (iterations, converged)
         np.testing.assert_allclose(r.X, X, rtol=0,

@@ -164,6 +164,10 @@ class TestApplyDerivative:
             apply_derivative(D, np.zeros(4))
         with pytest.raises(ValueError, match="shape"):
             apply_derivative(D, np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="shape"):
+            apply_derivative(D, np.zeros((2, 2, 3)))
+        with pytest.raises(ValueError, match="shape"):
+            apply_derivative(D, np.float64(1.0))
 
 
 @settings(max_examples=40, deadline=None)
