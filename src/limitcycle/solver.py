@@ -4,6 +4,8 @@ Plain Newton with backtracking on the residual sup norm: the full step
 is halved until the norm decreases, down to a floor fraction; running
 out of damping or iterations is reported in the result, not raised.
 The linear solves are dense LU with partial pivoting, reused while cheap.
+On large grids J is factored in float32, which takes about half the time
+of float64, and every step is refined to float64 accuracy against it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg.lapack import dgetrs
+from scipy.linalg.lapack import dgetrs, sgetrs
 
 from .system import (
     CollocationProblem,
@@ -35,6 +37,10 @@ _STEP_FRACTIONS = tuple(0.5**k for k in range(21))
 # refinement stops at a correction this small relative to the step: the
 # error left is below the cond(J) * eps (cond(J) ~ 1e4) of a fresh LU solve
 _REFINE_FLOOR = 1e-12
+# from this many unknowns mN on, J is assembled and factored in float32:
+# below it the refinement sweeps cost about what the cheaper LU saves
+# (circuit solves at mN = 201-273 even or slower, at 303 faster)
+_SINGLE_PRECISION_SIZE = 300
 
 
 class SingularJacobianError(RuntimeError):
@@ -60,19 +66,30 @@ class SolveResult:
     factorizations: int = 0
 
 
+def _getrs(factor, b: np.ndarray) -> np.ndarray:
+    """x with LU x = b for ``factor`` from lu_factor, in float64.  A float32
+    factor solves for b / max|b|, which keeps any b in float32's range."""
+    lu, piv = factor
+    # LAPACK directly: lu_solve's checks cost as much on the small grids
+    if lu.dtype == np.float64:
+        return dgetrs(lu, piv, b)[0]
+    scale = float(np.max(np.abs(b))) or 1.0
+    return scale * sgetrs(lu, piv, (b / scale).astype(np.float32))[0].astype(float)
+
+
 def _refined_step(problem: CollocationProblem, blocks: np.ndarray,
                   factor, b: np.ndarray) -> np.ndarray | None:
     """x with J x = b, J having node blocks ``blocks``, by iterative
-    refinement against ``factor``, the LU of an earlier Jacobian; None
-    when that would cost more than factoring J."""
+    refinement against ``factor``, the LU of an earlier Jacobian or a
+    float32 LU of J itself, with float64 residuals; None when that would
+    cost more than factoring J."""
     budget = problem.size // 25  # sweeps that cost about one LU
     if budget == 0:
         return None
-    # LAPACK directly: lu_solve's checks cost as much on the small grids
-    x = dgetrs(*factor, b)[0]
+    x = _getrs(factor, b)
     last = float(np.max(np.abs(x)))
     for sweep in range(budget):
-        dx = dgetrs(*factor, b - jacobian_product(problem, blocks, x))[0]
+        dx = _getrs(factor, b - jacobian_product(problem, blocks, x))
         x += dx
         size = float(np.max(np.abs(dx)))
         if size <= _REFINE_FLOOR * np.max(np.abs(x)):
@@ -97,6 +114,14 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray) -> SolveResult:
     RhsEvaluationError at X0 (f fails or is not finite there) or at an
     accepted iterate, or a ValueError when the Jacobian is not finite.
     A line-search trial where f cannot be evaluated counts as rejected.
+
+    Each iteration refines its step against the kept LU while that
+    converges cheaply (see ``_refined_step``), and factors J afresh
+    otherwise.  From ``_SINGLE_PRECISION_SIZE`` unknowns on, the fresh J
+    is assembled and factored in float32 and its step refined with float64
+    residuals; when that refinement gives up, or a float32 pivot is
+    negligible, J is factored again in float64.  ``factorizations``
+    counts every LU, the float64 one of such a fallback included.
     """
     X = np.asarray(X0, dtype=float).copy()
     if X.shape != (problem.size,):
@@ -127,17 +152,27 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray) -> SolveResult:
             raise ValueError(f"Jacobian is not finite at node index {bad[0]}")
         delta = None if factor is None else _refined_step(problem, blocks, factor, -R)
         if delta is None:
-            J = jacobian(problem, X, blocks=blocks)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LinAlgWarning)
-                # J is Fortran-ordered and not used again: factor in place
-                factor = lu_factor(J, overwrite_a=True, check_finite=False)
-            factorizations += 1
-            # rank deficiency surfaces as a negligible pivot on the U diagonal
-            pivots = np.abs(np.diag(factor[0]))
-            if pivots.min() <= J.shape[0] * np.finfo(float).eps * pivots.max():
-                raise SingularJacobianError(it)
-            delta = lu_solve(factor, -R, check_finite=False)
+            large = problem.size >= _SINGLE_PRECISION_SIZE
+            for dtype in (np.float32, np.float64) if large else (np.float64,):
+                J = jacobian(problem, X, blocks=blocks, dtype=dtype)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", LinAlgWarning)
+                    # J is Fortran-ordered and not used again: factor in place
+                    factor = lu_factor(J, overwrite_a=True, check_finite=False)
+                factorizations += 1
+                # rank deficiency surfaces as a pivot on the U diagonal that
+                # is negligible at the factor's own precision
+                pivots = np.abs(np.diag(factor[0]))
+                if pivots.min() <= J.shape[0] * np.finfo(dtype).eps * pivots.max():
+                    if dtype is np.float64:
+                        raise SingularJacobianError(it)
+                    continue
+                if dtype is np.float64:
+                    delta = lu_solve(factor, -R, check_finite=False)
+                else:
+                    delta = _refined_step(problem, blocks, factor, -R)
+                if delta is not None:
+                    break
 
         for lam in _STEP_FRACTIONS:
             X_trial = X + lam * delta

@@ -318,18 +318,20 @@ def jacobian_blocks(problem: CollocationProblem, X: np.ndarray, *,
 
 
 def jacobian(problem: CollocationProblem, X: np.ndarray, *, force_fd: bool = False,
-             blocks: np.ndarray | None = None) -> np.ndarray:
+             blocks: np.ndarray | None = None, dtype=float) -> np.ndarray:
     """Dense Jacobian J = omega_eff * (I_m kron D) - P of the residual.
 
     P consists of m x m blocks of N x N diagonal matrices; block (k, k')
     carries d f_k / d x_k' at each node: ``blocks`` if given, else
     ``jacobian_blocks(problem, X, force_fd=force_fd)``.  J is
-    Fortran-ordered, so that LAPACK can factor it in place.
+    Fortran-ordered, so that LAPACK can factor it in place, and assembled
+    directly in ``dtype`` (float32 for a single-precision LU), with no
+    float64 copy beside it.
     """
     if blocks is None:
         blocks = jacobian_blocks(problem, X, force_fd=force_fd)
     m, N = problem.system.dim, problem.grid.size
-    J = np.zeros((m * N, m * N), order="F")
+    J = np.zeros((m * N, m * N), dtype=dtype, order="F")
     # J4[k, i, k', j] is the entry of row k*N + i and column k'*N + j
     J4 = J.reshape(m, N, m, N)
     diag = np.arange(m)

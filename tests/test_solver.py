@@ -301,6 +301,73 @@ class TestKeptFactorization:
         assert r.factorizations < r.iterations
 
 
+@pytest.fixture
+def factor_dtypes(monkeypatch):
+    """The dtype of every matrix newton_solve factors, in order."""
+    dtypes = []
+    lu_factor = solver.lu_factor
+
+    def recording(a, **kwargs):
+        dtypes.append(a.dtype)
+        return lu_factor(a, **kwargs)
+
+    monkeypatch.setattr(solver, "lu_factor", recording)
+    return dtypes
+
+
+class TestSinglePrecisionFactor:
+    def test_default_circuit_factors_once_in_float32(self, factor_dtypes):
+        prob = CollocationProblem.build(circuit_system(CircuitParams()), 251)
+        r = newton_solve(prob, np.zeros(prob.size))
+        assert r.converged
+        assert (r.iterations, r.factorizations) == (3, 1)
+        assert factor_dtypes == [np.float32]
+
+    def test_period_two_seed_factors_in_float64(self, factor_dtypes):
+        # mN = 202 is below the size where float32 pays
+        prob = CollocationProblem.build(
+            pendulum_system(PendulumParams(a=0.1, b=181.0, omega=17.5),
+                            subharmonic=2), 101)
+        r = newton_solve(prob, guess_near_pi(101, 0.8, 1, 17.5, 2))
+        assert r.converged
+        assert (r.iterations, r.factorizations) == (6, 4)
+        assert factor_dtypes == [np.float64] * 4
+
+    def test_singular_jacobian_raises_with_iteration(self, monkeypatch,
+                                                     factor_dtypes):
+        # J = omega*D as in TestFailureModes, at mN = 301: the float32
+        # pivot left by the null vector is about 6e-7 of the largest, far
+        # above n * eps of float64, so only float32's own eps catches it
+        # before the factor is refined; float64 then confirms it
+        calls = []
+        sgetrs = solver.sgetrs
+        monkeypatch.setattr(solver, "sgetrs",
+                            lambda *args: calls.append(1) or sgetrs(*args))
+        sys = PeriodicSystem(dim=1, rhs=lambda x, t, p: np.array([np.cos(t)]),
+                             jac=lambda x, t, p: np.array([[0.0]]), omega=1.0)
+        prob = CollocationProblem.build(sys, 301)
+        assert prob.size >= solver._SINGLE_PRECISION_SIZE
+        with pytest.raises(SingularJacobianError) as info:
+            newton_solve(prob, np.zeros(prob.size))
+        assert info.value.iteration == 1
+        assert factor_dtypes == [np.float32, np.float64]
+        assert not calls
+
+    def test_float64_factor_when_refinement_gives_up(self, monkeypatch,
+                                                      factor_dtypes):
+        # no sweep reaches a floor this far below float64 rounding, so
+        # every float32 factor is given up on and J factored again in
+        # float64, and no kept factor is refined either
+        monkeypatch.setattr(solver, "_REFINE_FLOOR", 1e-30)
+        prob = CollocationProblem.build(circuit_system(CircuitParams()), 101)
+        _assert_matches_fresh_lu(prob, np.zeros(prob.size))
+        factor_dtypes.clear()
+        r = newton_solve(prob, np.zeros(prob.size))
+        assert r.converged
+        assert factor_dtypes == [np.float32, np.float64] * r.iterations
+        assert r.factorizations == len(factor_dtypes)
+
+
 def _infinite_jacobian_family(p):
     # x' = -x + p*cos t, whose Jacobian is made infinite at p = 0 for
     # phases beyond 1

@@ -204,6 +204,15 @@ class TestJacobian:
             J_naive[:, i] = (residual(prob, Xp) - R0) / h
         assert np.max(np.abs(J - J_naive)) <= 1e-6 * max(1.0, np.max(np.abs(J)))
 
+    def test_float32_assembly_is_the_float64_jacobian_rounded(self):
+        # D's diagonal is zero, so no entry adds two rounded terms: J built
+        # in float32 is J rounded once, Fortran-ordered for an in-place LU
+        prob = CollocationProblem.build(circuit_system(CircuitParams()), 51)
+        X = np.random.default_rng(2).uniform(-2, 2, prob.size)
+        J32 = jacobian(prob, X, dtype=np.float32)
+        assert J32.dtype == np.float32 and J32.flags.f_contiguous
+        np.testing.assert_array_equal(J32, jacobian(prob, X).astype(np.float32))
+
 
 class TestJacobianProduct:
     @pytest.mark.parametrize("system, N, force_fd", [
