@@ -1,10 +1,12 @@
 """Parameter continuation: trace branches of periodic solutions.
 
 A sweep marches a control parameter from ``start`` to ``end``, solving
-the collocation system at each value and warm-starting Newton from the
-previous converged solution.  Per-cycle extrema of any state component
-are read off the trigonometric interpolant, which is what a
-bifurcation diagram plots against the parameter.
+the collocation system at each value.  Newton starts from a secant
+predictor, the line through the last two converged solutions taken to
+the new value (the previous solution alone after the seed).  Per-cycle
+extrema of any state component are read off the trigonometric
+interpolant, which is what a bifurcation diagram plots against the
+parameter.
 """
 
 from __future__ import annotations
@@ -82,15 +84,20 @@ def sweep(
     X0: np.ndarray,
     cfg: SweepConfig,
 ) -> Branch:
-    """March the parameter from start to end, warm-starting each solve.
+    """March the parameter from start to end, predicting each solve's start.
 
     ``problem_family`` maps a parameter value to the collocation
-    problem at that value.  Raises BranchSeedError when the very first
-    solve fails; later failures shrink the step and, at its floor,
-    truncate the branch instead.  A later value at which
-    ``problem_family`` raises ValueError (the model rejects it), f is
-    not finite at the warm start or the Newton matrix is singular counts
-    as a failed solve.
+    problem at that value.  Newton at a trial value p_trial starts from
+    the secant guess X + (X - X_prev) * (p_trial - p) / (p - p_prev)
+    over the last two converged points, with their true spacing, which
+    also holds after a halved step.  It starts from X itself after the
+    seed, and while the last point took no iteration from X, which then
+    costs no array arithmetic on a branch that does not move.  Raises
+    BranchSeedError when the very first solve fails; later failures
+    shrink the step and, at its floor, truncate the branch instead.  A
+    later value at which ``problem_family`` raises ValueError (the model
+    rejects it), f is not finite at the guess or the Newton matrix is
+    singular counts as a failed solve.
     """
     p = float(cfg.start)
     seed = newton_solve(problem_family(p), np.asarray(X0, dtype=float))
@@ -98,6 +105,7 @@ def sweep(
         raise BranchSeedError(p)
     points = [(p, seed)]
     X = seed.X
+    X_prev = p_prev = None  # the secant's other end; None: guess X itself
 
     direction = 1.0 if cfg.end > cfg.start else -1.0
     min_step = cfg.step / _MIN_STEP_DIVISOR
@@ -109,11 +117,17 @@ def sweep(
         p_trial = cfg.end if trial_h == remaining else p + direction * trial_h
         if p_trial == p:
             return Branch(tuple(points), "truncated")
+        guess = X
+        if X_prev is not None:
+            guess = X + (X - X_prev) * ((p_trial - p) / (p - p_prev))
         try:
-            result = newton_solve(problem_family(p_trial), X)
+            result = newton_solve(problem_family(p_trial), guess)
         except (ValueError, RhsEvaluationError, SingularJacobianError):
             result = None
         if result is not None and result.converged:
+            # a solve that took no iteration from X returns X again: no secant
+            moved = result.iterations > 0 or guess is not X
+            X_prev, p_prev = (X, p) if moved else (None, None)
             p = p_trial
             X = result.X
             points.append((p, result))

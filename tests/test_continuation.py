@@ -10,10 +10,11 @@ from limitcycle.continuation import (
     extract_extrema,
     sweep,
 )
-from limitcycle import solver
+from limitcycle import continuation, solver
 from limitcycle.models import PendulumParams, linear_system, pendulum_system
 from limitcycle.spectral import equispaced_nodes, trig_interpolate
 from limitcycle.system import CollocationProblem, PeriodicSystem, flatten
+from limitcycle.warmstart import guess_near_pi
 
 
 def _linear_family(p):
@@ -63,10 +64,67 @@ class TestSweep:
             assert abs(hi - p / np.sqrt(2.0)) <= 1e-12
             assert abs(lo + p / np.sqrt(2.0)) <= 1e-12
 
-    def test_warm_started_linear_points_take_one_newton_step(self):
+    def test_secant_predicted_linear_points_take_no_newton_step(self):
+        # the linear steady state is affine in p: the first point after
+        # the seed starts from the seed's X and takes one Newton step,
+        # and the secant through two points is exact from then on
         br = sweep(_linear_family, np.zeros(11), SweepConfig("p", 0.0, 2.0, 0.5))
-        for p, result in br.points[1:]:
-            assert result.iterations == 1
+        assert [r.iterations for _, r in br.points[1:]] == [1, 0, 0, 0]
+
+    def test_halved_step_scales_the_secant_by_the_true_spacing(self):
+        # the trial at p = 2 fails and the step halves to p = 1.5; the
+        # secant over p = 0 and 1 taken half its spacing is exact there,
+        # while taken its full spacing it would guess the p = 2 solution
+        def family(p):
+            if p == 2.0:
+                raise ValueError("rejected")
+            return _linear_family(p)
+
+        br = sweep(family, np.zeros(11), SweepConfig("p", 0.0, 3.0, 1.0))
+        assert br.status == "completed"
+        assert [p for p, _ in br.points] == [0.0, 1.0, 1.5, 2.5, 3.0]
+        assert [r.iterations for _, r in br.points] == [0, 1, 0, 0, 0]
+
+    def test_period_two_branch_iterations_and_factorizations(self):
+        # b = 181 down to 141 at a = 0.1, N = 101; starting each point
+        # from the previous point's X instead takes 132 iterations and
+        # 88 factorizations
+        def family(b):
+            params = PendulumParams(a=0.1, b=b, omega=17.5)
+            return CollocationProblem.build(
+                pendulum_system(params, subharmonic=2), 101)
+
+        br = sweep(family, guess_near_pi(101, 0.8, 1, 17.5, 2),
+                   SweepConfig("b", 181.0, 141.0, 1.0))
+        results = [r for _, r in br.points]
+        assert br.status == "completed"
+        assert len(results) == 41
+        assert sum(r.iterations for r in results[1:]) == 91
+        assert sum(r.factorizations for r in results) == 51
+
+    def test_inverted_branch_guesses_the_previous_state_itself(self,
+                                                               monkeypatch):
+        # every point takes no iteration, so no secant is formed and each
+        # solve starts from the previous point's X, not from a copy
+        calls = []
+
+        def recording_solve(problem, X0):
+            result = solver.newton_solve(problem, X0)
+            calls.append((X0, result))
+            return result
+
+        def family(b):
+            p = PendulumParams(a=0.1, b=b, omega=17.5)
+            return CollocationProblem.build(pendulum_system(p), 101)
+
+        monkeypatch.setattr(continuation, "newton_solve", recording_solve)
+        X0 = flatten(np.vstack([np.full(101, np.pi), np.zeros(101)]))
+        br = sweep(family, X0, SweepConfig("b", 0.0, 200.0, 1.0))
+        assert br.status == "completed"
+        assert len(calls) == len(br.points) == 201
+        for (_, previous), (guess, result) in zip(calls, calls[1:]):
+            assert guess is previous.X
+            assert result.iterations == 0
 
     def test_parameters_strictly_monotone_both_directions(self):
         up = sweep(_linear_family, np.zeros(11), SweepConfig("p", 0.0, 1.0, 0.3))

@@ -369,13 +369,15 @@ class TestSinglePrecisionFactor:
 
 
 def _infinite_jacobian_family(p):
-    # x' = -x + p*cos t, whose Jacobian is made infinite at p = 0 for
-    # phases beyond 1
+    # x' = -x + p^3*cos t, whose Jacobian is made infinite at p = 0 for
+    # phases beyond 1; the forcing is not affine in p, so a sweep's
+    # secant guess at p = 0 is not the solution there and needs J
     def jac(x, t, q):
         return np.array([[-np.inf if q == 0.0 and t > 1.0 else -1.0]])
 
     return CollocationProblem.build(
-        PeriodicSystem(dim=1, rhs=lambda x, t, q: (-x[0] + q * np.cos(t),),
+        PeriodicSystem(dim=1,
+                       rhs=lambda x, t, q: (-x[0] + q**3 * np.cos(t),),
                        jac=jac, omega=1.0, params=p), 11)
 
 
