@@ -258,14 +258,12 @@ def _guess_from_file(path: str, m: int, N: int) -> np.ndarray:
 def _initial_guess(cfg: RunConfig, system, problem) -> np.ndarray:
     kind, _, rest = cfg.guess.partition(":")
     m, N = system.dim, cfg.N
-    if kind == "constant":
-        value = _parse_number(rest, float, "constant guess") if rest else 0.0
+    if kind in ("constant", "pi"):
         table = np.zeros((m, N))
-        table[0] = value
-        return flatten(table)
-    if kind == "pi":
-        table = np.zeros((m, N))
-        table[0] = np.pi
+        if kind == "pi":
+            table[0] = np.pi
+        elif rest:
+            table[0] = _parse_number(rest, float, "constant guess")
         return flatten(table)
     if kind == "sin":
         # a two-state guess; newton_solve refuses it on any other model

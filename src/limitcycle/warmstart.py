@@ -78,11 +78,10 @@ class TransientResult:
 
 
 def _wrap(phase: float) -> float:
+    # phase = omega * tau >= 0, so fmod lands in [0, 2*pi)
     w = math.fmod(phase, 2.0 * math.pi)
     if w > math.pi:
         w -= 2.0 * math.pi
-    elif w <= -math.pi:
-        w += 2.0 * math.pi
     return w
 
 

@@ -400,6 +400,21 @@ class TestInterp:
         expect = 0.5 * (np.cos(ts) + np.sin(ts))
         assert np.max(np.abs(data[:, 2] - expect)) <= 1e-10
 
+    def test_period_2_node_count_rebuilds_phase_and_tau(self, tmp_path):
+        # tau is not interpolated but rebuilt as s * t / omega
+        sol = tmp_path / "p2.csv"
+        assert main(["solve", "--model", "pendulum", "--N", "101",
+                     "--subharmonic", "2",
+                     "--param", "a=0.1", "b=181", "omega=17.5",
+                     "--guess", "sin:0.8", "--out", str(sol)]) == 0
+        dense = tmp_path / "dense.csv"
+        assert main(["interp", "--input", str(sol), "--points", "101",
+                     "--out", str(dense)]) == 0
+        header, stored = _read(sol)
+        _, resampled = _read(dense)
+        assert header["columns"].split(",")[:2] == ["phase", "tau"]
+        assert np.array_equal(resampled[:, :2], stored[:, :2])
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         bad_row = tmp_path / "bad_row.csv"
         bad_row.write_text(_BAD_ROW)
@@ -408,11 +423,28 @@ class TestInterp:
         even = tmp_path / "even.csv"
         even.write_text("# N=4\n# columns=phase,tau,x1\n"
                         + "1,2,3\n" * 4)
+        nodes = equispaced_nodes(3).nodes
+        rows = "".join(f"{t:.17g},{t:.17g},1\n" for t in nodes)
+        no_n = tmp_path / "no_n.csv"
+        no_n.write_text("# columns=phase,tau,x1\n" + rows)
+        no_columns = tmp_path / "no_columns.csv"
+        no_columns.write_text("# N=3\n" + rows)
+        short = tmp_path / "short.csv"
+        short.write_text("# N=3\n# columns=phase,tau,x1,x2\n" + rows)
+        off_grid = tmp_path / "off_grid.csv"
+        off_grid.write_text("# N=3\n# columns=phase,tau,x1\n" + "1,2,3\n" * 3)
+        no_omega = tmp_path / "no_omega.csv"
+        no_omega.write_text("# N=3\n# columns=phase,tau,x1\n" + rows)
         for path, named in [
             (tmp_path / "nope.csv", "cannot read solution file"),
             (bad_row, "data value 'abc'"),
             (not_utf8, f"{str(not_utf8)!r}: 'utf-8' codec can't"),
             (even, "odd number N >= 3 of points, got N=4"),
+            (no_n, "lacks the N header field"),
+            (no_columns, "lacks the columns header field"),
+            (short, "data does not match its header"),
+            (off_grid, "phases are not the equispaced nodes"),
+            (no_omega, "no frequency in header"),
         ]:
             assert main(["interp", "--input", str(path)]) == 2, path
             assert named in _error_message(capsys), path
