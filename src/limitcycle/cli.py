@@ -66,7 +66,7 @@ from .warmstart import (
     rk4_transient,
 )
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 
 class _Model(NamedTuple):
@@ -357,13 +357,11 @@ def _parse_sweep_spec(spec: str) -> SweepConfig:
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
-    params, system, problem = _instantiate(cfg)
     spec = _parse_sweep_spec(args.sweep)
     name = spec.parameter_name
-    # checked here, before the seed transient and the branch
-    valid = {f.name for f in dataclasses.fields(params)}
-    if name not in valid:
-        raise ValueError(f"model {cfg.model!r} has no parameter {name!r}")
+    # the guess and the header are those of the sweep's first point
+    cfg = dataclasses.replace(cfg, params={**cfg.params, name: spec.start})
+    params, system, problem = _instantiate(cfg)
     component = args.component
     if not 0 <= component < system.dim:
         raise ValueError(

@@ -163,16 +163,14 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray) -> SolveResult:
                 # rank deficiency surfaces as a pivot on the U diagonal that
                 # is negligible at the factor's own precision
                 pivots = np.abs(np.diag(factor[0]))
-                if pivots.min() <= J.shape[0] * np.finfo(dtype).eps * pivots.max():
-                    if dtype is np.float64:
-                        raise SingularJacobianError(it)
-                    continue
-                if dtype is np.float64:
-                    delta = lu_solve(factor, -R, check_finite=False)
-                else:
-                    delta = _refined_step(problem, blocks, factor, -R)
+                if pivots.min() > J.shape[0] * np.finfo(dtype).eps * pivots.max():
+                    delta = (lu_solve(factor, -R, check_finite=False)
+                             if dtype is np.float64 else
+                             _refined_step(problem, blocks, factor, -R))
                 if delta is not None:
                     break
+            if delta is None:
+                raise SingularJacobianError(it)
 
         for lam in _STEP_FRACTIONS:
             X_trial = X + lam * delta

@@ -130,18 +130,6 @@ def _wrap_phase(t: np.ndarray) -> np.ndarray:
     return np.where(w > np.pi, w - 2.0 * np.pi, w)
 
 
-def _one_sided_phases(breakpoint: float) -> tuple[float, float]:
-    """The phases one ulp before and after a breakpoint, in (-pi, pi]."""
-    b = float(_wrap_phase(breakpoint))
-    before = float(np.nextafter(b, -np.inf))
-    after = float(np.nextafter(b, np.inf))
-    # only pi's successor leaves (-pi, pi]; wrapping -tiny through mod 2*pi
-    # would round it onto 0 and lose its side
-    if after > np.pi:
-        after -= 2.0 * np.pi
-    return before, after
-
-
 def _eval_plan(phases: np.ndarray, breakpoints,
                s: int) -> tuple[np.ndarray, np.ndarray]:
     """The node index and forcing phase of every column f is evaluated at.
@@ -160,12 +148,15 @@ def _eval_plan(phases: np.ndarray, breakpoints,
     on = np.abs(_wrap_phase(phases[:, None] - bps[None, :])) <= tol
     rows, cols = np.nonzero(on)
     jumps, first = np.unique(rows, return_index=True)
-    sides = np.array([_one_sided_phases(bps[k]) for k in cols[first]],
-                     dtype=float).reshape(-1, 2)
+    at = _wrap_phase(bps[cols[first]])
+    after = np.nextafter(at, np.inf)
+    # only pi's successor leaves (-pi, pi]; wrapping -tiny through mod 2*pi
+    # would round it onto 0 and lose its side
+    after[after > np.pi] -= 2.0 * np.pi
     node_phases = phases.copy()
-    node_phases[jumps] = sides[:, 0]
+    node_phases[jumps] = np.nextafter(at, -np.inf)
     return (np.concatenate([np.arange(N), jumps]),
-            np.concatenate([node_phases, sides[:, 1]]))
+            np.concatenate([node_phases, after]))
 
 
 @dataclass(frozen=True)
@@ -196,10 +187,7 @@ class CollocationProblem:
     def build(cls, system: PeriodicSystem, N: int) -> "CollocationProblem":
         D = diff_matrix_equispaced(N)
         s = system.subharmonic
-        if s == 1:
-            phases = D.grid.nodes.copy()
-        else:
-            phases = _wrap_phase(s * D.grid.nodes)
+        phases = D.grid.nodes if s == 1 else _wrap_phase(s * D.grid.nodes)
         eval_nodes, eval_phases = _eval_plan(phases, system.breakpoints, s)
         return cls(system=system, grid=D.grid, D=D,
                    omega_eff=system.omega / s, forcing_phases=phases,

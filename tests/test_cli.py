@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -120,12 +122,23 @@ class TestSolve:
         bad_row.write_text(_BAD_ROW)
         not_utf8 = tmp_path / "not_utf8.csv"
         not_utf8.write_bytes(_NOT_UTF8)
+        four_rows = tmp_path / "four_rows.csv"
+        four_rows.write_text("1,2,3\n" * 4)
+        two_columns = tmp_path / "two_columns.csv"
+        two_columns.write_text("1,2\n" * 3)
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("1,2,3\n1,2\n1,2,3\n")
+        header_only = tmp_path / "header_only.csv"
+        header_only.write_text("# N=3\n# columns=phase,tau,x1\n")
         ini = tmp_path / "nosuch.ini"
         ini.write_text("[run]\nmodel = nosuch\nn = 11\n")
         cases = [
             (["--model", "linear", "--N", "4"], "odd number N >= 3"),
             (["--model", "linear", "--N", "3", "--param", "q=1"],
              "has no parameter(s) q"),
+            (["--model", "linear", "--N", "3", "--param", "p"],
+             "parameter override 'p' is not NAME=VALUE"),
+            (["--model", "linear"], "no node count given"),
             (["--model", "linear", "--N", "3", "--guess", "bogus:1"],
              "unknown guess descriptor 'bogus:1'"),
             (["--N", "3"], "no model given"),
@@ -152,6 +165,11 @@ class TestSolve:
             ("rk4:0", "cycles must be >= 1, got 0"),
             (f"file:{bad_row}", "data value 'abc'"),
             (f"file:{not_utf8}", f"{str(not_utf8)!r}: 'utf-8' codec can't"),
+            ("file:", "file guess needs a path"),
+            (f"file:{four_rows}", "has 4 rows, run expects 3"),
+            (f"file:{two_columns}", "has 2 columns, expected at least 3"),
+            (f"file:{ragged}", "has rows of unequal length"),
+            (f"file:{header_only}", "has no data rows"),
         ]:
             model = "pendulum" if guess.startswith("sin") else "linear"
             cases.append((["--model", model, "--N", "3", "--guess", guess],
@@ -319,6 +337,17 @@ class TestSweep:
             assert abs(row[3] - lo) <= 1e-14
         assert np.all(data[:, 2] - data[:, 3] > 1.0)
 
+    def test_guess_and_header_are_built_at_the_start_value(self, tmp_path):
+        # the sweep overrides the swept parameter at every point, so its
+        # configured value must not reach the warm start or the header
+        args = ["sweep", "--model", "circuit", "--N", "101",
+                "--guess", "rk4:20", "--sweep", "A_m=3:4:0.5"]
+        plain, pinned = tmp_path / "plain.csv", tmp_path / "pinned.csv"
+        assert main(args + ["--out", str(plain)]) == 0
+        assert main(args + ["--param", "A_m=3", "--out", str(pinned)]) == 0
+        assert plain.read_bytes() == pinned.read_bytes()
+        assert "# param.A_m=3\n" in plain.read_text()
+
     def test_invalid_specs_exit_2(self, capsys):
         base = ["sweep", "--model", "linear", "--N", "11"]
         for args, named in [
@@ -328,7 +357,8 @@ class TestSweep:
             (["--sweep", "p=0:inf:0.5"], "must be finite"),
             (["--sweep", "p=0:x:0.5"], "sweep range entry 'x'"),
             (["--sweep", "p=0:1"], "is not START:END:STEP"),
-            (["--sweep", "q=0:1:0.5"], "has no parameter 'q'"),
+            (["--sweep", "q=0:1:0.5"], "has no parameter(s) q"),
+            (["--sweep", "p:0:1:0.5"], "is not NAME=START:END:STEP"),
             (["--sweep", "p=0:1:0.5", "--component", "3"],
              "component 3 out of range"),
         ]:
@@ -355,6 +385,25 @@ class TestOutPath:
             assert main(args + ["--out", str(target)]) == 2
             assert str(target) in _error_message(capsys)
         assert list(tmp_path.iterdir()) == []
+
+    def test_stdout_dev_null_and_blank_lines(self, tmp_path, capsys):
+        args = ["solve", "--model", "linear", "--N", "11"]
+        out = tmp_path / "lin.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        # stdout is the default, and it gets what --out gets
+        assert main(args) == 0
+        assert capsys.readouterr().out == out.read_text()
+        assert main(args + ["--out", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
+        # a blank line in a stored solution is skipped
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text(out.read_text().replace("\n", "\n\n"))
+        dense = []
+        for path in (out, spaced):
+            assert main(["interp", "--input", str(path), "--points", "11"]) == 0
+            dense.append(capsys.readouterr().out)
+        assert dense[0] == dense[1]
 
     @pytest.mark.parametrize("args,rc", [
         (["solve", "--model", "linear", "--N", "3", "--guess", "bogus:1"], 2),
@@ -448,6 +497,8 @@ class TestInterp:
         ]:
             assert main(["interp", "--input", str(path)]) == 2, path
             assert named in _error_message(capsys), path
+        assert main(["interp", "--input", str(no_omega), "--points", "0"]) == 2
+        assert _error_message(capsys) == "points must be a positive integer"
 
 
 class TestSimulate:

@@ -44,6 +44,8 @@ class TestLayout:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             unflatten(np.zeros(7), 2, 3)
+        with pytest.raises(ValueError, match="must be 2-d"):
+            flatten(np.zeros(7))
 
     @settings(max_examples=25, deadline=None)
     @given(m=st.integers(1, 4), N=st.integers(1, 9), seed=st.integers(0, 10**6))
