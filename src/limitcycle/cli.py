@@ -167,8 +167,8 @@ def _resolve_config(args) -> RunConfig:
             return _parse_number(file_run[key], cast, f"config value {key}")
         return default
 
-    N = _pick(args.N, "n", int, 0)
-    if N == 0:
+    N = _pick(args.N, "n", int, None)
+    if N is None:
         raise ValueError("no node count given (flag --N or config [run] n)")
     params = {**file_params, **_parse_param_items(args.param or ())}
     out = _pick(args.out, "out", str, None)
@@ -214,7 +214,9 @@ def _instantiate(cfg: RunConfig):
 
 
 def _read_solution(path: str):
-    """Parse a solve CSV back into (header dict, data columns)."""
+    """Parse a solve CSV into (header dict, node grid, {column: values}):
+    its ``N`` and ``columns`` header fields, one row per node, and a first
+    column ``phase`` that holds the grid's nodes bitwise."""
     header: dict = {}
     rows = []
     try:
@@ -236,23 +238,18 @@ def _read_solution(path: str):
         raise ValueError(f"solution file {path!r} has no data rows")
     if len({len(row) for row in rows}) != 1:
         raise ValueError(f"solution file {path!r} has rows of unequal length")
-    return header, np.array(rows, dtype=float)
-
-
-def _guess_from_file(path: str, m: int, N: int) -> np.ndarray:
-    header, data = _read_solution(path)
-    if "N" in header and _parse_number(header["N"], int, "header N") != N:
-        raise ValueError(
-            f"solution file has N={header['N']}, run expects N={N}")
-    if data.shape[0] != N:
-        raise ValueError(
-            f"solution file has {data.shape[0]} rows, run expects {N}")
-    if data.shape[1] < 2 + m:
-        raise ValueError(
-            f"solution file has {data.shape[1]} columns, expected at least {2 + m}"
-        )
-    # columns are phase, tau, x1..xm, extras
-    return flatten(data[:, 2:2 + m].T)
+    for key in ("N", "columns"):
+        if key not in header:
+            raise ValueError(f"solution file lacks the {key} header field")
+    N = _parse_number(header["N"], int, "header N")
+    names = header["columns"].split(",")
+    data = np.array(rows, dtype=float)
+    if data.shape != (N, len(names)) or len(set(names)) != len(names):
+        raise ValueError("solution file data does not match its header")
+    grid = equispaced_nodes(N)
+    if names[0] != "phase" or not np.array_equal(data[:, 0], grid.nodes):
+        raise ValueError("solution file phases are not the equispaced nodes")
+    return header, grid, dict(zip(names, data.T))
 
 
 def _initial_guess(cfg: RunConfig, system, problem) -> np.ndarray:
@@ -280,7 +277,14 @@ def _initial_guess(cfg: RunConfig, system, problem) -> np.ndarray:
     if kind == "file":
         if not rest:
             raise ValueError("file guess needs a path, e.g. file:solution.csv")
-        return _guess_from_file(rest, m, N)
+        _, grid, columns = _read_solution(rest)
+        if grid.size != N:
+            raise ValueError(
+                f"solution file has N={grid.size}, run expects N={N}")
+        missing = [f"x{k + 1}" for k in range(m) if f"x{k + 1}" not in columns]
+        if missing:
+            raise ValueError(f"solution file lacks the {missing[0]} column")
+        return flatten([columns[f"x{k + 1}"] for k in range(m)])
     raise ValueError(f"unknown guess descriptor {cfg.guess!r}")
 
 
@@ -390,27 +394,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_interp(args) -> int:
-    header, data = _read_solution(args.input)
-    for key in ("N", "columns"):
-        if key not in header:
-            raise ValueError(f"solution file lacks the {key} header field")
-    N = _parse_number(header["N"], int, "header N")
-    columns = header["columns"].split(",")
-    if data.shape[1] != len(columns) or data.shape[0] != N:
-        raise ValueError("solution file data does not match its header")
-    M = args.points if args.points is not None else 8 * N
+    header, grid, columns = _read_solution(args.input)
+    M = args.points if args.points is not None else 8 * grid.size
     if M < 1:
         raise ValueError("points must be a positive integer")
-    grid = equispaced_nodes(N)
-    if not np.array_equal(data[:, 0], grid.nodes):
-        raise ValueError("solution file phases are not the equispaced nodes")
 
     # the grid's own construction, so M=N reproduces the node set bitwise
     ts = equispaced_phases(M)
     omega = _parse_number(header.get("omega", "0") or "0", float, "header omega")
     s = _parse_number(header.get("subharmonic", "1"), int, "header subharmonic")
     out_cols = []
-    for j, name in enumerate(columns):
+    for name, values in columns.items():
         if name == "phase":
             out_cols.append(ts)
         elif name == "tau":
@@ -418,10 +412,10 @@ def cmd_interp(args) -> int:
                 raise ValueError("cannot rebuild tau: no frequency in header")
             out_cols.append(s * ts / omega)
         else:
-            out_cols.append(trig_interpolate(grid, data[:, j], ts))
+            out_cols.append(trig_interpolate(grid, values, ts))
     lines = [f"# {k}={v}" for k, v in header.items() if k != "columns"]
     lines.append(f"# points={M}")
-    _write_csv(args.out, lines, columns, out_cols)
+    _write_csv(args.out, lines, list(columns), out_cols)
     return 0
 
 
@@ -459,7 +453,8 @@ def _add_run_options(sp):
     sp.add_argument("--model", choices=sorted(_MODELS))
     sp.add_argument("--N", type=int, help="odd number of nodes")
     sp.add_argument("--subharmonic", type=int)
-    sp.add_argument("--param", nargs="*", metavar="NAME=VALUE")
+    sp.add_argument("--param", nargs="*", action="extend",
+                    metavar="NAME=VALUE")
     sp.add_argument("--guess",
                     help="constant:v | pi | sin:eps[,harmonic] | rk4:cycles"
                          " | file:path")

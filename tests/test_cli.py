@@ -113,6 +113,43 @@ class TestSolve:
                    "--guess", f"file:{first}"])
         assert rc == 2
 
+    def test_file_guess_refuses_simulate_and_sweep_files(self, tmp_path,
+                                                         capsys):
+        # both have N data rows, but no phase column holding the nodes
+        sim, swept = tmp_path / "sim.csv", tmp_path / "sweep.csv"
+        assert main(["simulate", "--model", "circuit", "--N", "51",
+                     "--cycles", "1", "--steps", "50", "--out", str(sim)]) == 0
+        assert main(["sweep", "--model", "linear", "--N", "11",
+                     "--sweep", "p=0:10:1", "--out", str(swept)]) == 0
+        capsys.readouterr()
+        for model, N, path in [("circuit", "51", sim), ("linear", "11", swept)]:
+            assert main(["solve", "--model", model, "--N", N,
+                         "--guess", f"file:{path}"]) == 2, path
+            assert _error_message(capsys) == (
+                "solution file phases are not the equispaced nodes")
+
+    def test_circuit_file_guess_takes_states_by_name(self, tmp_path):
+        # the derived columns i_d and V0 follow x1..x3 and are not states
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["solve", "--model", "circuit", "--N", "51",
+                     "--out", str(first)]) == 0
+        assert main(["solve", "--model", "circuit", "--N", "51",
+                     "--guess", f"file:{first}", "--out", str(second)]) == 0
+        header, data = _read(second)
+        assert header["iterations"] == "0"
+        assert np.array_equal(data, _read(first)[1])
+
+    def test_repeated_param_flags_merge(self, tmp_path):
+        out = tmp_path / "pend.csv"
+        assert main(["solve", "--model", "pendulum", "--N", "11",
+                     "--param", "a=0.2", "--param", "b=5", "omega=3",
+                     "--param", "omega=17.5", "--guess", "pi",
+                     "--out", str(out)]) == 0
+        header, _ = _read(out)
+        assert header["param.a"] == "0.20000000000000001"
+        assert header["param.b"] == "5"
+        assert header["param.omega"] == "17.5"
+
     def test_invalid_inputs_exit_2(self, tmp_path, capsys):
         # argparse refuses a --model outside its choices, with its usage
         assert main(["solve", "--model", "nosuch", "--N", "3"]) == 2
@@ -122,18 +159,27 @@ class TestSolve:
         bad_row.write_text(_BAD_ROW)
         not_utf8 = tmp_path / "not_utf8.csv"
         not_utf8.write_bytes(_NOT_UTF8)
+        nodes = equispaced_nodes(3).nodes
         four_rows = tmp_path / "four_rows.csv"
-        four_rows.write_text("1,2,3\n" * 4)
+        four_rows.write_text("# N=3\n# columns=phase,tau,x1\n"
+                             + f"{nodes[0]:.17g},2,3\n" * 4)
         two_columns = tmp_path / "two_columns.csv"
-        two_columns.write_text("1,2\n" * 3)
+        two_columns.write_text("# N=3\n# columns=phase,tau\n"
+                               + "".join(f"{t:.17g},2\n" for t in nodes))
         ragged = tmp_path / "ragged.csv"
         ragged.write_text("1,2,3\n1,2\n1,2,3\n")
         header_only = tmp_path / "header_only.csv"
         header_only.write_text("# N=3\n# columns=phase,tau,x1\n")
         ini = tmp_path / "nosuch.ini"
         ini.write_text("[run]\nmodel = nosuch\nn = 11\n")
+        zero_n = tmp_path / "zero_n.ini"
+        zero_n.write_text("[run]\nmodel = linear\nn = 0\n")
         cases = [
             (["--model", "linear", "--N", "4"], "odd number N >= 3"),
+            # 0 is a node count the grid refuses, not a missing one
+            (["--model", "linear", "--N", "0"],
+             "odd number N >= 3 of points, got N=0"),
+            (["--config", str(zero_n)], "odd number N >= 3 of points, got N=0"),
             (["--model", "linear", "--N", "3", "--param", "q=1"],
              "has no parameter(s) q"),
             (["--model", "linear", "--N", "3", "--param", "p"],
@@ -166,8 +212,8 @@ class TestSolve:
             (f"file:{bad_row}", "data value 'abc'"),
             (f"file:{not_utf8}", f"{str(not_utf8)!r}: 'utf-8' codec can't"),
             ("file:", "file guess needs a path"),
-            (f"file:{four_rows}", "has 4 rows, run expects 3"),
-            (f"file:{two_columns}", "has 2 columns, expected at least 3"),
+            (f"file:{four_rows}", "data does not match its header"),
+            (f"file:{two_columns}", "lacks the x1 column"),
             (f"file:{ragged}", "has rows of unequal length"),
             (f"file:{header_only}", "has no data rows"),
         ]:
@@ -499,6 +545,19 @@ class TestInterp:
             assert named in _error_message(capsys), path
         assert main(["interp", "--input", str(no_omega), "--points", "0"]) == 2
         assert _error_message(capsys) == "points must be a positive integer"
+
+    def test_repeated_column_name_exits_2(self, tmp_path, capsys):
+        # a column is read by its name, so a name may appear only once
+        nodes = equispaced_nodes(3).nodes
+        twice = tmp_path / "twice.csv"
+        twice.write_text("# N=3\n# columns=phase,x1,x1\n"
+                         + "".join(f"{t:.17g},1,2\n" for t in nodes))
+        for args in (["interp", "--input", str(twice)],
+                     ["solve", "--model", "linear", "--N", "3",
+                      "--guess", f"file:{twice}"]):
+            assert main(args) == 2, args
+            assert _error_message(capsys) == (
+                "solution file data does not match its header")
 
 
 class TestSimulate:
