@@ -251,11 +251,12 @@ def diode_voltage(x1: float, x3: float, vs: float, p: CircuitParams) -> float:
     to 0; V_d = a*ln(a*w/isr) otherwise, where c and a*w grow together
     and their difference would cancel.
     """
-    c, w = _diode_omega(x1, x3, vs, p)
+    # c and w as in _diode_omega, inline: RK4 calls this once per rhs
     k = p.derived
-    # kept on math, not np.where: RK4 calls this once per rhs, and the
-    # numpy form costs about five times as much on a scalar
-    w = float(w)
+    c = (vs - x1) + p.R2 * x3 + k.isr
+    # kept on math, not np.where: the numpy form costs about five times
+    # as much on a scalar
+    w = float(_wrightomega()(c / k.a + k.log_isr_a))
     return c - k.a * w if w <= 1.0 else k.a * math.log(k.a * w / k.isr)
 
 
@@ -277,15 +278,6 @@ def _circuit_derivatives(x1, x2, x3, vs, vd, e, p):
     dx2 = (-x2 + p.R4 * x3) / k.c2_r34
     dx3 = (vs - k.g2 * x2 - k.g3 * x3 - vd - k.is_r1 * (e - 1.0)) / p.L
     return dx1, dx2, dx3
-
-
-def _circuit_rhs(x, t, p):
-    x1, x2, x3 = x
-    vs = square_wave(t, p.A_m)
-    # through the module global, so that a replaced diode_voltage applies
-    vd = diode_voltage(x1, x3, vs, p)
-    e = math.exp(min(vd / p.derived.a, 700.0))
-    return _circuit_derivatives(x1, x2, x3, vs, vd, e, p)
 
 
 def _circuit_rhs_table(table, t, p):
@@ -327,11 +319,34 @@ def circuit_system(p: CircuitParams) -> PeriodicSystem:
     only, follows from dV_d/dV_lin = 1/(1 + w).  The source jumps at the
     phases 0 and pi, declared as the system's breakpoints.  RK4 calls the
     per-state rhs, which works on floats and returns a tuple; on a single
-    state it costs an order of magnitude less than the table form.  Both
-    take the element combinations they need from ``p.derived``, which is
-    computed once per parameter record.
+    state it costs about a twentieth of the table form.  It is built here,
+    bound to ``p``: it holds p's elements and ``p.derived`` as locals,
+    refuses any other params record, and does the arithmetic of
+    :func:`_circuit_derivatives` in the same order.  The table forms take
+    the element combinations from ``p.derived``, which is computed once
+    per parameter record.
     """
-    return PeriodicSystem(dim=3, rhs=_circuit_rhs,
+    A_m, R1, R4, L = p.A_m, p.R1, p.R4, p.L
+    k = p.derived
+    a, c1_rsum, c2_r34 = k.a, k.c1_rsum, k.c2_r34
+    g2, g3, is_r1 = k.g2, k.g3, k.is_r1
+    exp = math.exp
+
+    def rhs(x, t, params):
+        if params is not p:
+            raise ValueError("this circuit rhs is bound to another "
+                             "CircuitParams record; build the system for "
+                             "these params with circuit_system")
+        x1, x2, x3 = x
+        vs = A_m if t >= 0.0 else -A_m
+        # through the module global, so that a replaced diode_voltage applies
+        vd = diode_voltage(x1, x3, vs, p)
+        e = exp(min(vd / a, 700.0))
+        return ((vs - x1 - R1 * x3 - vd) / c1_rsum,
+                (-x2 + R4 * x3) / c2_r34,
+                (vs - g2 * x2 - g3 * x3 - vd - is_r1 * (e - 1.0)) / L)
+
+    return PeriodicSystem(dim=3, rhs=rhs,
                           rhs_table=_circuit_rhs_table,
                           jac_table=_circuit_jac_table,
                           omega=p.omega, params=p, breakpoints=(0.0, math.pi))

@@ -8,22 +8,27 @@ system).
 
 A step runs on Python floats: the state is a list of m floats, the stage
 states and the update are formed component by component, and only the
-finished state is written into the trajectory array.  One trajectory
-cannot be batched, and on a state of two or three components numpy's
-per-call overhead would cost more than the arithmetic.  The operations
-are those of the array form, in the same order, so the trajectory is
-the same to the bit.
+finished state is appended to a flat ``array('d')`` buffer, which the
+result views as the (m, steps + 1) trajectory.  One trajectory cannot
+be batched, and on a state of two or three components numpy's per-call
+overhead would cost more than the arithmetic.  The stage phases, which
+do not depend on the state, are computed a cycle at a time in one numpy
+pass; a table for the whole run would hold millions of Python floats.
+The operations are those of the array form, in the same order, so the
+trajectory is the same to the bit.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .spectral import NodeGrid, equispaced_nodes
-from .system import flatten
+from .system import _wrap_phase, flatten
 
 __all__ = [
     "TransientConfig",
@@ -77,12 +82,16 @@ class TransientResult:
     node_state: np.ndarray | None = field(default=None, repr=False)
 
 
-def _wrap(phase: float) -> float:
-    # phase = omega * tau >= 0, so fmod lands in [0, 2*pi)
-    w = math.fmod(phase, 2.0 * math.pi)
-    if w > math.pi:
-        w -= 2.0 * math.pi
-    return w
+def _stage_phases(omega: float, h: float, total: int, steps: int):
+    """Per cycle of ``steps`` steps, an iterator over the steps' stage
+    phases omega*tau, omega*(tau + h/2), omega*(tau + h) at tau = i*h,
+    wrapped; omega*tau >= 0, where np.mod is math.fmod to the bit."""
+    half = 0.5 * h
+    for start in range(0, total, steps):
+        tau = np.arange(start, start + steps) * h
+        yield zip(_wrap_phase(omega * tau).tolist(),
+                  _wrap_phase(omega * (tau + half)).tolist(),
+                  _wrap_phase(omega * (tau + h)).tolist())
 
 
 def rk4_transient(system, config: TransientConfig,
@@ -119,21 +128,19 @@ def rk4_transient(system, config: TransientConfig,
     rhs = system.rhs
     params = system.params
 
-    # step i ends at i*h + h, the same bits as the loop's tau + h
+    # step i ends at i*h + h, the same bits as the stage phases' tau + h
     times = np.empty(total + 1)
     times[0] = 0.0
     times[1:] = np.arange(total) * h + h
-    # one row per step while stepping; returned as its (m, total + 1) view
-    states = np.empty((total + 1, m))
+    # the finished states row after row; returned as an (m, total + 1) view
+    buf = array("d")
     x = [float(v) for v in x0]
-    states[0] = x
+    buf.extend(x)
     half = 0.5 * h
     sixth = h / 6.0
-    for i in range(total):
-        tau = i * h
-        p0 = _wrap(omega * tau)
-        p1 = _wrap(omega * (tau + half))
-        p2 = _wrap(omega * (tau + h))
+    phases = chain.from_iterable(
+        _stage_phases(omega, h, total, config.steps_per_cycle))
+    for i, (p0, p1, p2) in enumerate(phases):
         stage = x
         try:
             k1 = rhs(stage, p0, params)
@@ -159,8 +166,8 @@ def rk4_transient(system, config: TransientConfig,
              for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
         if not all(map(math.isfinite, x)):
             raise TransientDivergenceError(i + 1)
-        states[i + 1] = x
-    states = states.T
+        buf.extend(x)
+    states = np.frombuffer(buf).reshape(total + 1, m).T
 
     node_state = None
     if grid is not None:

@@ -11,6 +11,8 @@ from limitcycle.models import (
     CircuitParams,
     LinearParams,
     PendulumParams,
+    _circuit_derivatives,
+    _diode_omega,
     circuit_outputs,
     circuit_system,
     diode_residual,
@@ -208,6 +210,44 @@ class TestCircuit:
             f = sys.rhs(x, t, p)
             vd_back = vs - p.C1 * (p.R1 + p.R2) * f[0] - x[0] - p.R1 * x[2]
             assert vd_back == pytest.approx(vd, abs=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(A_m=st.floats(0.5, 20.0), R4=st.floats(0.2, 10.0),
+           x2=st.floats(-20.0, 20.0), x3=st.floats(-10.0, 10.0),
+           conducting=st.booleans(), margin=st.floats(1e-3, 30.0),
+           t=st.one_of(st.floats(-math.pi, math.pi),
+                       st.sampled_from([0.0, -0.0, math.pi,
+                                        math.nextafter(-math.pi, 0.0)])))
+    def test_per_state_rhs_keeps_the_shared_arithmetic(
+            self, A_m, R4, x2, x3, conducting, margin, t):
+        # the bound rhs against _circuit_derivatives fed the diode voltage
+        # of the _diode_omega form, to the bit; x1 puts c on the drawn
+        # side of the branch point w = 1, where c / a + ln(isr / a) = 1
+        p = CircuitParams(A_m=A_m, R4=R4)
+        k = p.derived
+        vs = square_wave(t, A_m)
+        c = k.a * (1.0 - k.log_isr_a) + (margin if conducting else -margin)
+        x1 = vs + p.R2 * x3 + k.isr - c
+        c, w = _diode_omega(x1, x3, vs, p)
+        w = float(w)
+        assert (w > 1.0) == conducting
+        vd = c - k.a * w if w <= 1.0 else k.a * math.log(k.a * w / k.isr)
+        want = _circuit_derivatives(x1, x2, x3, vs, vd,
+                                    math.exp(min(vd / k.a, 700.0)), p)
+        got = circuit_system(p).rhs([x1, x2, x3], t, p)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_rhs_refuses_another_params_record(self):
+        # the rhs holds the elements of the record it was built for; a
+        # system whose params were swapped afterwards would step with them
+        p = CircuitParams()
+        system = circuit_system(p)
+        stale = dataclasses.replace(system, params=CircuitParams(A_m=7.0))
+        with pytest.raises(ValueError, match="bound to another"):
+            stale.rhs([1.0, 0.0, 0.0], 0.5, stale.params)
+        with pytest.raises(ValueError, match="bound to another"):
+            system.rhs([1.0, 0.0, 0.0], 0.5, CircuitParams())
+        assert len(system.rhs([1.0, 0.0, 0.0], 0.5, p)) == 3
 
     def test_outputs_formulas(self):
         p = CircuitParams()

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +143,42 @@ class TestRk4Transient:
         res = rk4_transient(sys, cfg)
         assert abs(res.states[0, -1] - np.pi) < 0.11
         assert abs(res.states[0, -1] - np.pi) < abs(3.0 - np.pi)
+
+
+class TestTransientMemory:
+    def test_circuit_warm_start_peak_allocation(self):
+        # the rk4:20 warm start of an N=251 circuit solve holds the
+        # trajectory (1.2 MB), the times (0.4 MB) and one cycle's stage
+        # phases; a phase table for the whole run peaks near 7 MB
+        p = CircuitParams()
+        system = circuit_system(p)
+        grid = equispaced_nodes(251)
+        cfg = TransientConfig(cycles=20, steps_per_cycle=2500,
+                              initial_state=np.zeros(3))
+        # the first circuit rhs imports scipy.special, not counted here
+        system.rhs([0.0, 0.0, 0.0], 0.0, p)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rk4_transient(system, cfg, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 2.5e6
+
+    def test_circuit_rhs_bound_to_other_params_propagates(self):
+        # a finite stage state: the rhs's ValueError is no divergence
+        p = CircuitParams()
+        stale = dataclasses.replace(circuit_system(p),
+                                    params=CircuitParams(A_m=7.0))
+        cfg = TransientConfig(cycles=1, steps_per_cycle=8,
+                              initial_state=np.zeros(3))
+        with pytest.raises(ValueError, match="bound to another"):
+            rk4_transient(stale, cfg)
 
 
 def _wrap(phase):
