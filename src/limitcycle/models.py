@@ -1,14 +1,12 @@
 """Benchmark systems: parametrically driven pendulum, diode commutation
 circuit, and a linear model with a known closed-form steady state.
 
-All right-hand sides use the (x, t, params) calling convention of
+Each model follows the contract of
 :class:`~limitcycle.system.PeriodicSystem`, with t the forcing phase in
-(-pi, pi]; the per-state forms index x and return a tuple of floats,
-which RK4 steps on without numpy.  The pendulum and the circuit also
-have the table form (table (m, K), phases (K,), params) that the
-collocation layer calls once over all nodes, and give their analytic
-Jacobians in that form only; the linear model keeps the per-node loop
-and a per-state Jacobian.
+(-pi, pi]: a per-state rhs that indexes x and returns a tuple of floats,
+which RK4 steps on without numpy, and an analytic Jacobian in table
+form.  The pendulum and the circuit also give the rhs in table form;
+the linear model's rhs is evaluated node by node.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ def _pendulum_rhs_table(table, t, p):
     return np.array([v, -p.a * v + drive * np.sin(theta - math.pi)])
 
 
-def _pendulum_jac_table(table, t, p):
+def _pendulum_jac(table, t, p):
     blocks = np.zeros((t.size, 2, 2))
     blocks[:, 0, 1] = 1.0
     blocks[:, 1, 0] = (1.0 + p.b * np.cos(t)) * np.cos(table[0] - math.pi)
@@ -85,7 +83,7 @@ def pendulum_system(p: PendulumParams, subharmonic: int = 1) -> PeriodicSystem:
     """
     return PeriodicSystem(dim=2, rhs=_pendulum_rhs,
                           rhs_table=_pendulum_rhs_table,
-                          jac_table=_pendulum_jac_table,
+                          jac=_pendulum_jac,
                           omega=p.omega, params=p, subharmonic=subharmonic)
 
 
@@ -104,8 +102,8 @@ def _linear_rhs(x, t, p):
     return (-x[0] + p.p * math.cos(t),)
 
 
-def _linear_jac(x, t, p):
-    return np.array([[-1.0]])
+def _linear_jac(table, t, p):
+    return np.full((t.size, 1, 1), -1.0)
 
 
 def linear_system(p: float | LinearParams = 1.0) -> PeriodicSystem:
@@ -288,7 +286,7 @@ def _circuit_rhs_table(table, t, p):
     return np.array(_circuit_derivatives(x1, x2, x3, vs, vd, e, p))
 
 
-def _circuit_jac_table(table, t, p):
+def _circuit_jac(table, t, p):
     x1, _, x3 = table
     vs = np.where(t >= 0.0, p.A_m, -p.A_m)
     w = _diode_omega(x1, x3, vs, p)[1]
@@ -315,13 +313,13 @@ def circuit_system(p: CircuitParams) -> PeriodicSystem:
     The diode voltage is an implicit algebraic unknown; every rhs
     evaluation eliminates it in closed form through :func:`diode_voltage`
     (:func:`diode_voltages` in the table form) before the three
-    derivatives are assembled.  The analytic Jacobian, in table form
-    only, follows from dV_d/dV_lin = 1/(1 + w).  The source jumps at the
-    phases 0 and pi, declared as the system's breakpoints.  RK4 calls the
-    per-state rhs, which works on floats and returns a tuple; on a single
-    state it costs about a twentieth of the table form.  It is built here,
-    bound to ``p``: it holds p's elements and ``p.derived`` as locals,
-    refuses any other params record, and does the arithmetic of
+    derivatives are assembled.  The analytic Jacobian follows from
+    dV_d/dV_lin = 1/(1 + w).  The source jumps at the phases 0 and pi,
+    declared as the system's breakpoints.  RK4 calls the per-state rhs,
+    which works on floats and returns a tuple; on a single state it costs
+    about a twentieth of the table form.  It is built here, bound to
+    ``p``: it holds p's elements and ``p.derived`` as locals, refuses any
+    other params record, and does the arithmetic of
     :func:`_circuit_derivatives` in the same order.  The table forms take
     the element combinations from ``p.derived``, which is computed once
     per parameter record.
@@ -348,7 +346,7 @@ def circuit_system(p: CircuitParams) -> PeriodicSystem:
 
     return PeriodicSystem(dim=3, rhs=rhs,
                           rhs_table=_circuit_rhs_table,
-                          jac_table=_circuit_jac_table,
+                          jac=_circuit_jac,
                           omega=p.omega, params=p, breakpoints=(0.0, math.pi))
 
 

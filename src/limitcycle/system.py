@@ -65,35 +65,29 @@ class RhsEvaluationError(RuntimeError):
 class PeriodicSystem:
     """First-order system x' = f(x, t) with 2*pi-periodic forcing phase t.
 
-    rhs(x, t, params) -> a sequence of m numbers (a tuple, a list or an
-    ndarray), with x a sequence of m floats that rhs indexes: a list when
-    RK4 steps it, an ndarray column in the collocation layer's per-node
-    loop.  jac(x, t, params) -> (m, m) array of partials d f_k / d x_k'
-    (optional; finite differences are used when absent).  ``subharmonic``
-    s > 1 requests a response whose period is s forcing periods.
+    Time stepping calls the per-state ``rhs(x, t, params)``, which returns
+    a sequence of m numbers (a tuple, a list or an ndarray) for x a
+    sequence of m floats that it indexes.  Collocation calls the table
+    forms, column k of ``table`` being the state at ``phases[k]``:
+    ``rhs_table(table (m, K), phases (K,), params) -> (m, K)`` (optional;
+    without it ``rhs`` is called column by column) and
+    ``jac(table, phases, params) -> (K, m, m)``, the partials
+    d f_k / d x_k' (optional; finite differences are used when absent).
+    They must agree with ``rhs`` column by column.  ``subharmonic`` s > 1
+    requests a response whose period is s forcing periods.
     ``breakpoints`` lists the forcing phases where f jumps (e.g. 0 and pi
     for a square wave); a collocation node on one of them is fed the mean
     of f's one-sided limits there.
-
-    ``rhs_table(table (m, K), phases (K,), params) -> (m, K)`` and
-    ``jac_table(...) -> (K, m, m)`` are optional table forms of rhs and
-    jac, column k being the state at phase k; they must agree with the
-    per-state forms column by column.  The collocation layer calls them
-    once over all nodes and loops over the nodes with the per-state form
-    when they are absent.  A system may give its analytic Jacobian as
-    ``jac_table`` alone, as the built-in pendulum and circuit do; ``rhs``
-    is always needed, since time stepping calls it.
     """
 
     dim: int
     rhs: Callable[[Sequence[float], float, Any], Sequence[float]]
     omega: float
-    jac: Callable[[np.ndarray, float, Any], np.ndarray] | None = None
+    jac: Callable[[np.ndarray, np.ndarray, Any], np.ndarray] | None = None
     params: Any = None
     subharmonic: int = 1
     breakpoints: tuple[float, ...] = ()
     rhs_table: Callable[[np.ndarray, np.ndarray, Any], np.ndarray] | None = None
-    jac_table: Callable[[np.ndarray, np.ndarray, Any], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -208,27 +202,26 @@ def _node_values(problem: CollocationProblem, table: np.ndarray,
     """f (kind "rhs") or its Jacobian blocks (kind "jac") at every node of
     an (m, N) table, node-major: (N, m) or (N, m, m).
 
-    One call of the system's table form over the evaluation plan, or of
-    its per-state form at each column when it has no table form; a jump
-    node gets the mean of its two columns.  A failure is raised as
+    One call of the system's ``rhs_table`` or ``jac`` over the evaluation
+    plan, or of ``rhs`` at each column when it has no ``rhs_table``; a
+    jump node gets the mean of its two columns.  A table form that
+    returns another shape raises ValueError.  A failure is raised as
     RhsEvaluationError with the node index of the failing column.
     """
     system, params = problem.system, problem.system.params
     N, nodes, phases = problem.grid.size, problem.eval_nodes, problem.eval_phases
     columns = table if nodes.size == N else table[:, nodes]
-    table_fn = getattr(system, f"{kind}_table")
+    m, K = system.dim, nodes.size
+    name, shape = ("rhs_table", (m, K)) if kind == "rhs" else ("jac", (K, m, m))
+    form = getattr(system, name)
     try:
-        if table_fn is not None:
-            values = np.array(table_fn(columns, phases, params), dtype=float)
-            if kind == "rhs":
-                values = values.T
+        if form is not None:
+            values = np.array(form(columns, phases, params), dtype=float)
         else:
-            fn = getattr(system, kind)
-            shape = (system.dim,) if kind == "rhs" else (system.dim, system.dim)
-            values = np.empty((nodes.size,) + shape)
-            for j in range(nodes.size):
+            values = np.empty(shape)
+            for j in range(K):
                 try:
-                    values[j] = fn(columns[:, j], phases[j], params)
+                    values[:, j] = system.rhs(columns[:, j], phases[j], params)
                 except Exception as exc:
                     raise RhsEvaluationError(j, str(exc)) from exc
     except RhsEvaluationError as exc:
@@ -236,6 +229,11 @@ def _node_values(problem: CollocationProblem, table: np.ndarray,
     except Exception as exc:
         column, cause = None, exc
     else:
+        if values.shape != shape:
+            raise ValueError(
+                f"{name} returned shape {values.shape}, expected {shape}")
+        if kind == "rhs":
+            values = values.T
         jumps = nodes[N:]
         if jumps.size:
             values[jumps] = 0.5 * (values[jumps] + values[N:])
@@ -283,12 +281,12 @@ def node_derivatives(problem: CollocationProblem, X: np.ndarray) -> np.ndarray:
 def jacobian_blocks(problem: CollocationProblem, X: np.ndarray, *,
                     force_fd: bool = False) -> np.ndarray:
     """The (N, m, m) node blocks of the Jacobian, block j holding
-    d f_k / d x_k' at node j: the system's analytic jac (or jac_table)
-    when it has one and ``force_fd`` is unset, else forward differences.
+    d f_k / d x_k' at node j: the system's analytic jac when it has one
+    and ``force_fd`` is unset, else forward differences.
     """
     system = problem.system
     table = unflatten(X, system.dim, problem.grid.size)
-    if (system.jac is not None or system.jac_table is not None) and not force_fd:
+    if system.jac is not None and not force_fd:
         return _node_values(problem, table, "jac")
     # Forward differences, one sweep per state component: f at node j only
     # depends on the m values at node j, so all nodes can be perturbed at

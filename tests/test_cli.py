@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import limitcycle.cli as cli
+import limitcycle.models as models
 from limitcycle.cli import main
 from limitcycle.continuation import extract_extrema, sweep
 from limitcycle.models import CircuitParams, circuit_outputs, circuit_system
@@ -105,6 +106,15 @@ class TestSolve:
         assert main(["solve", "--model", "circuit", "--N", "11",
                      "--param", "C2=1e-320"]) == 2
         assert _error_message(capsys) == "Jacobian is not finite at node index 0"
+
+    def test_misshapen_jacobian_exits_2(self, monkeypatch, capsys):
+        # one (m, m) block where the contract asks for one per node
+        monkeypatch.setattr(models, "_pendulum_jac",
+                            lambda table, t, p: np.eye(2))
+        assert main(["solve", "--model", "pendulum", "--N", "11",
+                     "--guess", "sin:0.8"]) == 2
+        assert (_error_message(capsys)
+                == "jac returned shape (2, 2), expected (11, 2, 2)")
 
     def test_file_guess_rejects_node_mismatch(self, tmp_path):
         first = tmp_path / "first.csv"

@@ -27,7 +27,7 @@ def _cubic_family(p, N=17):
     sys = PeriodicSystem(
         dim=1,
         rhs=lambda x, t, _: np.array([-x[0] ** 3 - x[0] + p * np.cos(t)]),
-        jac=lambda x, t, _: np.array([[-3.0 * x[0] ** 2 - 1.0]]),
+        jac=lambda table, t, _: (-3.0 * table[0] ** 2 - 1.0)[:, None, None],
         omega=1.0,
     )
     return CollocationProblem.build(sys, N)
@@ -200,7 +200,7 @@ class TestSweep:
         # exactly singular at p = 0, where D's constant mode has no inverse
         sys = PeriodicSystem(dim=1,
                              rhs=lambda x, t, q: (-q * x[0] + np.cos(t),),
-                             jac=lambda x, t, q: np.array([[-q]]),
+                             jac=lambda table, t, q: np.full((t.size, 1, 1), -q),
                              omega=1.0, params=p)
         return CollocationProblem.build(sys, 11)
 

@@ -51,7 +51,7 @@ class TestPendulum:
         sys = pendulum_system(p)
         x = np.array([0.7, -0.3])
         t = 0.4
-        J = sys.jac_table(x.reshape(2, 1), np.array([t]), p)[0]
+        J = sys.jac(x.reshape(2, 1), np.array([t]), p)[0]
         drive = 1.0 + 2.0 * math.cos(t)
         assert J[0, 0] == 0.0 and J[0, 1] == 1.0
         assert J[1, 0] == pytest.approx(-drive * math.cos(0.7), rel=1e-14)
@@ -67,7 +67,9 @@ class TestLinear:
         sys = linear_system(1.5)
         assert sys.rhs(np.zeros(1), 0.3, sys.params)[0] == pytest.approx(
             1.5 * math.cos(0.3), rel=1e-15)
-        assert sys.jac(np.zeros(1), 0.3, sys.params)[0, 0] == -1.0
+        t = np.array([-1.0, 0.3, 2.0])
+        np.testing.assert_array_equal(sys.jac(np.zeros((1, 3)), t, sys.params),
+                                      np.full((3, 1, 1), -1.0))
 
     def test_accepts_params_record(self):
         sys = linear_system(LinearParams(p=2.0))
@@ -315,12 +317,60 @@ class TestTableForms:
         table, t = data[:, :2].T.copy(), data[:, 2].copy()
         F = sys.rhs_table(table, t, p)
         assert F.shape == table.shape
-        assert sys.jac_table(table, t, p).shape == (t.size, 2, 2)
+        assert sys.jac(table, t, p).shape == (t.size, 2, 2)
         _assert_columns_match(F.T, [sys.rhs(x, tk, p) for x, tk in zip(table.T, t)])
 
-    def test_linear_model_has_no_table_form(self):
-        sys = linear_system(1.0)
-        assert sys.rhs_table is None and sys.jac_table is None
+    def test_linear_model_has_no_rhs_table(self):
+        assert linear_system(1.0).rhs_table is None
+
+
+def _forward_differences(system, table, t):
+    # (K, m, m): column k's Jacobian from forward differences of the
+    # per-state rhs, one state component at a time
+    m, K = table.shape
+    blocks = np.empty((K, m, m))
+    for k in range(K):
+        x = table[:, k]
+        base = np.asarray(system.rhs(x, t[k], system.params))
+        for j in range(m):
+            h = 1e-8 * (1.0 + abs(x[j]))
+            xh = x.copy()
+            xh[j] += h
+            blocks[k, :, j] = (np.asarray(system.rhs(xh, t[k], system.params))
+                               - base) / h
+    return blocks
+
+
+class TestJacobianContract:
+    @pytest.mark.parametrize("model", ["pendulum", "linear", "circuit"])
+    def test_jac_is_the_forward_difference_of_rhs(self, model):
+        rng = np.random.default_rng(23)
+        K = 16
+        t = np.concatenate([[0.0, math.pi, np.nextafter(-math.pi, 0.0)],
+                            rng.uniform(-math.pi, math.pi, K - 3)])
+        if model == "pendulum":
+            sys = pendulum_system(PendulumParams(a=0.1, b=7.0))
+            table = rng.uniform(-4.0, 4.0, (2, K))
+        elif model == "linear":
+            sys = linear_system(1.5)
+            table = rng.uniform(-4.0, 4.0, (1, K))
+        else:
+            p = CircuitParams()
+            sys = circuit_system(p)
+            table = np.vstack([rng.uniform(-8.0, 8.0, K),
+                               rng.uniform(-1.0, 1.0, K),
+                               rng.uniform(-2.0, 2.0, K)])
+            vs = np.where(t >= 0.0, p.A_m, -p.A_m)
+            w = _diode_omega(table[0], table[2], vs, p)[1]
+            # both diode branches: blocking (w <= 1) and conducting
+            assert np.any(w <= 1.0) and np.any(w > 1.0)
+        J = sys.jac(table, t, sys.params)
+        m = sys.dim
+        assert J.shape == (K, m, m)
+        fd = _forward_differences(sys, table, t)
+        for k in range(K):
+            scale = np.max(np.abs(J[k]))
+            assert np.max(np.abs(fd[k] - J[k])) <= 1e-5 * scale, k
 
 
 class TestCircuitJacobian:

@@ -129,7 +129,8 @@ class TestFailureModes:
     def test_singular_jacobian_raises_with_iteration(self):
         # state-independent rhs: J = omega*D, and D annihilates constants
         sys = PeriodicSystem(dim=1, rhs=lambda x, t, p: np.array([np.cos(t)]),
-                             jac=lambda x, t, p: np.array([[0.0]]), omega=1.0)
+                             jac=lambda table, t, p: np.zeros((t.size, 1, 1)),
+                             omega=1.0)
         prob = CollocationProblem.build(sys, 5)
         with pytest.raises(SingularJacobianError) as info:
             newton_solve(prob, np.zeros(5))
@@ -170,9 +171,10 @@ def _bounded_arctan(limit):
             raise ValueError(f"state {x[0]} outside the model's domain")
         return np.array([-np.arctan(x[0])])
 
-    return PeriodicSystem(dim=1, rhs=rhs,
-                          jac=lambda x, t, p: np.array([[-1.0 / (1.0 + x[0] ** 2)]]),
-                          omega=1.0)
+    def jac(table, t, p):
+        return (-1.0 / (1.0 + table[0] ** 2))[:, None, None]
+
+    return PeriodicSystem(dim=1, rhs=rhs, jac=jac, omega=1.0)
 
 
 class TestFailedTrials:
@@ -294,7 +296,7 @@ class TestKeptFactorization:
 
     def test_finite_difference_blocks_refine(self):
         system = dataclasses.replace(circuit_system(CircuitParams()),
-                                     jac_table=None)
+                                     jac=None)
         prob = CollocationProblem.build(system, 101)
         r = _assert_matches_fresh_lu(prob, np.zeros(prob.size))
         assert r.converged
@@ -344,7 +346,8 @@ class TestSinglePrecisionFactor:
         monkeypatch.setattr(solver, "sgetrs",
                             lambda *args: calls.append(1) or sgetrs(*args))
         sys = PeriodicSystem(dim=1, rhs=lambda x, t, p: np.array([np.cos(t)]),
-                             jac=lambda x, t, p: np.array([[0.0]]), omega=1.0)
+                             jac=lambda table, t, p: np.zeros((t.size, 1, 1)),
+                             omega=1.0)
         prob = CollocationProblem.build(sys, 301)
         assert prob.size >= solver._SINGLE_PRECISION_SIZE
         with pytest.raises(SingularJacobianError) as info:
@@ -372,8 +375,8 @@ def _infinite_jacobian_family(p):
     # x' = -x + p^3*cos t, whose Jacobian is made infinite at p = 0 for
     # phases beyond 1; the forcing is not affine in p, so a sweep's
     # secant guess at p = 0 is not the solution there and needs J
-    def jac(x, t, q):
-        return np.array([[-np.inf if q == 0.0 and t > 1.0 else -1.0]])
+    def jac(table, t, q):
+        return np.where((q == 0.0) & (t > 1.0), -np.inf, -1.0)[:, None, None]
 
     return CollocationProblem.build(
         PeriodicSystem(dim=1,

@@ -156,7 +156,8 @@ class TestJacobian:
 
     def test_state_independent_rhs_gives_pure_derivative_part(self):
         sys = PeriodicSystem(dim=1, rhs=lambda x, t, p: np.array([math.cos(t)]),
-                             jac=lambda x, t, p: np.array([[0.0]]), omega=3.0)
+                             jac=lambda table, t, p: np.zeros((t.size, 1, 1)),
+                             omega=3.0)
         prob = CollocationProblem.build(sys, 5)
         J = jacobian(prob, np.ones(5))
         np.testing.assert_array_equal(J, 3.0 * prob.D.entries)
@@ -257,7 +258,7 @@ def _square_rhs(x, t, p):
 def _square_system(breakpoints=(0.0, np.pi)):
     # x' = -x + sgn(t) at omega = 1: the source jumps at the phases 0 and pi
     return PeriodicSystem(dim=1, rhs=_square_rhs,
-                          jac=lambda x, t, p: np.array([[-1.0]]),
+                          jac=lambda table, t, p: np.full((t.size, 1, 1), -1.0),
                           omega=1.0, breakpoints=breakpoints)
 
 
@@ -357,11 +358,8 @@ class TestBreakpoints:
 
 
 def _without_tables(system):
-    # the per-node path, with a per-state Jacobian read off jac_table
-    def jac(x, t, params):
-        return system.jac_table(x.reshape(-1, 1), np.array([t]), params)[0]
-
-    return dataclasses.replace(system, jac=jac, rhs_table=None, jac_table=None)
+    # the per-node rhs loop; the analytic jac is a table form either way
+    return dataclasses.replace(system, rhs_table=None)
 
 
 class TestTableForm:
@@ -381,15 +379,18 @@ class TestTableForm:
             np.testing.assert_allclose(J_table, J_loop, rtol=0,
                                        atol=1e-9 * np.max(np.abs(J_loop)))
 
-    def test_jac_table_alone_is_used_as_the_analytic_jacobian(self):
-        # not finite differences: those would differ by about 1e-8
-        table_only = pendulum_system(PendulumParams(a=0.2, b=7.0, omega=5.0))
-        assert table_only.jac is None
+    def test_analytic_jac_is_used_not_finite_differences(self):
+        sys = pendulum_system(PendulumParams(a=0.2, b=7.0, omega=5.0))
+        prob = CollocationProblem.build(sys, 9)
         X = np.random.default_rng(6).uniform(-3, 3, 18)
-        J, J_loop = (jacobian(CollocationProblem.build(s, 9), X)
-                     for s in (table_only, _without_tables(table_only)))
-        np.testing.assert_allclose(J, J_loop, rtol=0,
-                                   atol=1e-15 * np.max(np.abs(J)))
+        blocks = sys.jac(unflatten(X, 2, 9), prob.eval_phases, sys.params)
+        J = jacobian(prob, X, blocks=blocks)
+        for s in (sys, _without_tables(sys)):
+            np.testing.assert_array_equal(
+                jacobian(CollocationProblem.build(s, 9), X), J)
+        # finite differences differ by about 1e-8
+        gap = np.max(np.abs(jacobian(prob, X, force_fd=True) - J))
+        assert 1e-12 < gap / np.max(np.abs(J)) < 1e-6
 
     def test_circuit_jump_node_uses_the_mean_of_its_one_sided_rhs(self):
         p = CircuitParams()
@@ -437,6 +438,30 @@ class TestTableForm:
             residual(CollocationProblem.build(sys, 5), np.zeros(5))
         assert info.value.node is None
 
+    def test_node_major_rhs_table_is_refused(self):
+        # (K, m) for (m, K): with m = 2 and N = 5 the transpose has the
+        # right size, and would be taken as f at the wrong nodes
+        sys = PeriodicSystem(dim=2, rhs=lambda x, t, p: (x[1], -x[0]),
+                             omega=1.0,
+                             rhs_table=lambda table, t, p:
+                                 np.array([table[1], -table[0]]).T)
+        prob = CollocationProblem.build(sys, 5)
+        with pytest.raises(ValueError, match=r"rhs_table returned shape "
+                                             r"\(5, 2\), expected \(2, 5\)"):
+            residual(prob, np.arange(10.0))
+
+    def test_jac_of_a_single_block_is_refused(self):
+        sys = PeriodicSystem(dim=2, rhs=lambda x, t, p: (x[1], -x[0]),
+                             omega=1.0,
+                             jac=lambda table, t, p: np.array([[0.0, 1.0],
+                                                               [-1.0, 0.0]]))
+        prob = CollocationProblem.build(sys, 5)
+        with pytest.raises(ValueError, match=r"jac returned shape \(2, 2\), "
+                                             r"expected \(5, 2, 2\)"):
+            jacobian(prob, np.arange(10.0))
+        with pytest.raises(ValueError, match="jac returned shape"):
+            newton_solve(prob, np.arange(10.0))
+
     def test_line_search_rejects_a_trial_the_table_refuses(self):
         # x' = -atan(x) from 1.5: the full Newton step lands on -1.69,
         # outside the table form's domain |x| <= 1.6
@@ -449,7 +474,7 @@ class TestTableForm:
         sys = PeriodicSystem(
             dim=1, rhs=lambda x, t, p: -np.arctan(x), omega=1.0,
             rhs_table=rhs_table,
-            jac_table=lambda table, t, p: (-1.0 / (1.0 + table[0] ** 2))[:, None, None])
+            jac=lambda table, t, p: (-1.0 / (1.0 + table[0] ** 2))[:, None, None])
         r = newton_solve(CollocationProblem.build(sys, 11), np.full(11, 1.5))
         assert r.converged
         assert r.step_history[0][2] == 0.5
@@ -489,13 +514,13 @@ def _counted_circuit():
 
     return dataclasses.replace(
         sys, rhs_table=counted("rhs_table", sys.rhs_table),
-        jac_table=counted("jac_table", sys.jac_table)), calls
+        jac=counted("jac", sys.jac)), calls
 
 
 class TestEvaluationPlan:
     @pytest.mark.parametrize("evaluate,expected", [
         (residual, {"rhs_table": 1}),
-        (jacobian, {"jac_table": 1}),
+        (jacobian, {"jac": 1}),
         (lambda prob, X: jacobian(prob, X, force_fd=True), {"rhs_table": 4}),
     ], ids=["residual", "jacobian", "fd_jacobian"])
     def test_one_model_call_per_evaluation(self, evaluate, expected):
