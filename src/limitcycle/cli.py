@@ -305,8 +305,11 @@ def _header_lines(cfg: RunConfig, params, system, result=None, extra=()):
 
 def _write_csv(path, header_lines, column_names, columns):
     out_lines = [*header_lines, "# columns=" + ",".join(column_names)]
-    out_lines += (",".join(_fmt(col[i]) for col in columns)
-                  for i in range(len(columns[0])))
+    # one format per row; tolist keeps the int columns ints, and %.17g of
+    # an int or a float is the _fmt of it
+    fmt = ",".join(["%.17g"] * len(columns))
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    out_lines += (fmt % row for row in rows)
     text = "\n".join(out_lines) + "\n"
     if path is None:
         sys.stdout.write(text)

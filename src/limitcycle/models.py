@@ -249,13 +249,14 @@ def diode_voltage(x1: float, x3: float, vs: float, p: CircuitParams) -> float:
     to 0; V_d = a*ln(a*w/isr) otherwise, where c and a*w grow together
     and their difference would cancel.
     """
-    # c and w as in _diode_omega, inline: RK4 calls this once per rhs
-    k = p.derived
-    c = (vs - x1) + p.R2 * x3 + k.isr
+    # c and w as in _diode_omega, inline: RK4 calls this once per rhs, so
+    # the three constants come out of p.derived in one unpack
+    a, isr, log_isr_a = p.derived[:3]
+    c = (vs - x1) + p.R2 * x3 + isr
     # kept on math, not np.where: the numpy form costs about five times
     # as much on a scalar
-    w = float(_wrightomega()(c / k.a + k.log_isr_a))
-    return c - k.a * w if w <= 1.0 else k.a * math.log(k.a * w / k.isr)
+    w = float(_wrightomega()(c / a + log_isr_a))
+    return c - a * w if w <= 1.0 else a * math.log(a * w / isr)
 
 
 def diode_voltages(x1: np.ndarray, x3: np.ndarray, vs: np.ndarray,
@@ -339,7 +340,9 @@ def circuit_system(p: CircuitParams) -> PeriodicSystem:
         vs = A_m if t >= 0.0 else -A_m
         # through the module global, so that a replaced diode_voltage applies
         vd = diode_voltage(x1, x3, vs, p)
-        e = exp(min(vd / a, 700.0))
+        q = vd / a
+        # min(q, 700.0) to the bit, a nan included, without the call
+        e = exp(700.0 if 700.0 < q else q)
         return ((vs - x1 - R1 * x3 - vd) / c1_rsum,
                 (-x2 + R4 * x3) / c2_r34,
                 (vs - g2 * x2 - g3 * x3 - vd - is_r1 * (e - 1.0)) / L)

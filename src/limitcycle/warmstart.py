@@ -6,20 +6,23 @@ serve both the transient and the collocation residual.  One "cycle" is
 one response period 2*pi*s/omega (s forcing periods for a subharmonic
 system).
 
-A step runs on Python floats: the state is a list of m floats, the stage
-states and the update are formed component by component, and only the
-finished state is appended to a flat ``array('d')`` buffer, which the
-result views as the (m, steps + 1) trajectory.  One trajectory cannot
-be batched, and on a state of two or three components numpy's per-call
-overhead would cost more than the arithmetic.  The stage phases, which
-do not depend on the state, are computed a cycle at a time in one numpy
-pass; a table for the whole run would hold millions of Python floats.
-The operations are those of the array form, in the same order, so the
-trajectory is the same to the bit.
+A step runs on Python floats, in a loop generated once per state
+dimension m from one source template (as ``dataclasses`` and
+``namedtuple`` generate their methods): every component of the state and
+of the four slopes is its own local, so a step builds nothing but the
+stage lists the rhs receives, and the finished states are appended to a
+flat ``array('d')`` buffer, which the result views as the (m, steps + 1)
+trajectory.  One trajectory cannot be batched, and on a state of two or
+three components numpy's per-call overhead would cost more than the
+arithmetic.  The stage phases, which do not depend on the state, are
+computed a cycle at a time in one numpy pass; a table for the whole run
+would hold millions of Python floats.  The operations are those of the
+array form, in the same order, so the trajectory is the same to the bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -94,6 +97,75 @@ def _stage_phases(omega: float, h: float, total: int, steps: int):
                   _wrap_phase(omega * (tau + h)).tolist())
 
 
+# The step loop for a state of m components, one local per component of
+# the state (x*) and of the slopes k1..k4 (a*, b*, c*, d*).  A step
+# appends its start state to buf, so a failure in step i finds
+# len(buf) == (i + 1)*m; the last state is appended after the loop.
+_RK4_LOOP = """\
+def loop(rhs, params, phases, x, buf, h, half, sixth):
+    # k, the last rhs value, starts as one of the right length
+    {x}, = k = x
+    for p0, p1, p2 in phases:
+        s = [{x}]
+        buf.extend(s)
+        try:
+            k = rhs(s, p0, params)
+            {a}, = k
+            s = [{xa}]
+            k = rhs(s, p1, params)
+            {b}, = k
+            s = [{xb}]
+            k = rhs(s, p1, params)
+            {c}, = k
+            s = [{xc}]
+            k = rhs(s, p2, params)
+            {d}, = k
+        except OverflowError:
+            # float arithmetic raises where numpy's would return inf
+            raise TransientDivergenceError(len(buf) // {m}) from None
+        except ValueError:
+            _check_stage(s, k, {m}, len(buf) // {m})
+            raise
+        {update}
+        if not ({finite}):
+            raise TransientDivergenceError(len(buf) // {m})
+    buf.extend(({x},))
+"""
+
+
+def _check_stage(stage, k, m, step):
+    """Raise what a stage's ValueError means, or return to let it
+    propagate.  ``k`` is the last value an rhs returned; one of the wrong
+    length is the one whose unpacking into m slopes raised."""
+    if len(k) != m:
+        raise ValueError(f"rhs returned {len(k)} values, expected {m}") \
+            from None
+    # math.sin(inf) and the like: a stage that already left the finite
+    # floats has diverged; at a finite one the rhs failed
+    if not all(map(math.isfinite, stage)):
+        raise TransientDivergenceError(step) from None
+
+
+@functools.cache
+def _rk4_loop(m: int):
+    """The step loop of ``_RK4_LOOP`` for m components, compiled once."""
+    def each(form, sep=", "):
+        return sep.join(form.format(j) for j in range(m))
+
+    source = _RK4_LOOP.format(
+        m=m, x=each("x{0}"), a=each("a{0}"), b=each("b{0}"),
+        c=each("c{0}"), d=each("d{0}"),
+        xa=each("x{0} + half * a{0}"), xb=each("x{0} + half * b{0}"),
+        xc=each("x{0} + h * c{0}"),
+        update=each("x{0} = x{0} + sixth * "
+                    "(a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})", "\n        "),
+        finite=each("isfinite(x{0})", " and "))
+    namespace = {"isfinite": math.isfinite, "_check_stage": _check_stage,
+                 "TransientDivergenceError": TransientDivergenceError}
+    exec(source, namespace)
+    return namespace["loop"]
+
+
 def rk4_transient(system, config: TransientConfig,
                   grid: NodeGrid | None = None) -> TransientResult:
     """Integrate ``system`` with classical RK4 over ``config.cycles`` periods.
@@ -125,8 +197,6 @@ def rk4_transient(system, config: TransientConfig,
     h = period / config.steps_per_cycle
     total = config.cycles * config.steps_per_cycle
     omega = system.omega
-    rhs = system.rhs
-    params = system.params
 
     # step i ends at i*h + h, the same bits as the stage phases' tau + h
     times = np.empty(total + 1)
@@ -134,39 +204,10 @@ def rk4_transient(system, config: TransientConfig,
     times[1:] = np.arange(total) * h + h
     # the finished states row after row; returned as an (m, total + 1) view
     buf = array("d")
-    x = [float(v) for v in x0]
-    buf.extend(x)
-    half = 0.5 * h
-    sixth = h / 6.0
     phases = chain.from_iterable(
         _stage_phases(omega, h, total, config.steps_per_cycle))
-    for i, (p0, p1, p2) in enumerate(phases):
-        stage = x
-        try:
-            k1 = rhs(stage, p0, params)
-            stage = [a + half * b for a, b in zip(x, k1)]
-            k2 = rhs(stage, p1, params)
-            stage = [a + half * b for a, b in zip(x, k2)]
-            k3 = rhs(stage, p1, params)
-            stage = [a + h * b for a, b in zip(x, k3)]
-            k4 = rhs(stage, p2, params)
-        except OverflowError:
-            # float arithmetic raises where numpy's would return inf
-            raise TransientDivergenceError(i + 1) from None
-        except ValueError:
-            # math.sin(inf) and the like: a stage that already left the
-            # finite floats has diverged; at a finite one the rhs failed
-            if all(map(math.isfinite, stage)):
-                raise
-            raise TransientDivergenceError(i + 1) from None
-        if len(k1) != m:
-            # zip would silently drop the surplus of a longer rhs
-            raise ValueError(f"rhs returned {len(k1)} values, expected {m}")
-        x = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-        if not all(map(math.isfinite, x)):
-            raise TransientDivergenceError(i + 1)
-        buf.extend(x)
+    _rk4_loop(m)(system.rhs, system.params, phases, x0.tolist(), buf,
+                 h, 0.5 * h, h / 6.0)
     states = np.frombuffer(buf).reshape(total + 1, m).T
 
     node_state = None

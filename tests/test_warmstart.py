@@ -83,48 +83,93 @@ class TestRk4Transient:
         ratio = e_coarse / e_fine
         assert 8.0 <= ratio <= 32.0
 
+    # the error paths are checked at m = 1 and m = 3, each with its own
+    # generated step loop
+
     def test_divergence_reports_step_index(self):
-        bad = PeriodicSystem(dim=1, rhs=lambda x, t, _: np.array([x[0] ** 2]),
-                             omega=1.0)
-        cfg = TransientConfig(cycles=5, steps_per_cycle=64,
-                              initial_state=np.array([1.0]))
-        with np.errstate(over="ignore"), pytest.raises(
-            TransientDivergenceError
-        ) as info:
-            rk4_transient(bad, cfg)
-        assert info.value.step == 13
+        # x0' = x0**2 from x0 = 1 blows up at tau = 1; the other
+        # components are at rest
+        for m in (1, 3):
+            bad = PeriodicSystem(
+                dim=m, omega=1.0,
+                rhs=lambda x, t, _, m=m: np.array([x[0] ** 2]
+                                                  + [0.0] * (m - 1)))
+            cfg = TransientConfig(cycles=5, steps_per_cycle=64,
+                                  initial_state=np.eye(m)[0])
+            with np.errstate(over="ignore"), pytest.raises(
+                TransientDivergenceError
+            ) as info:
+                rk4_transient(bad, cfg)
+            assert info.value.step == 13
 
     def test_float_overflow_is_divergence(self):
         # on floats x ** 2 raises OverflowError where numpy returned inf;
         # it is reported at the step the array loop reports
-        bad = PeriodicSystem(dim=1, rhs=lambda x, t, _: (x[0] ** 2,),
-                             omega=1.0)
-        cfg = TransientConfig(cycles=5, steps_per_cycle=64,
-                              initial_state=np.array([1.0]))
-        with pytest.raises(TransientDivergenceError) as info:
-            rk4_transient(bad, cfg)
-        assert info.value.step == 13
+        for m in (1, 3):
+            bad = PeriodicSystem(
+                dim=m, omega=1.0,
+                rhs=lambda x, t, _, m=m: (x[0] ** 2,) + (0.0,) * (m - 1))
+            cfg = TransientConfig(cycles=5, steps_per_cycle=64,
+                                  initial_state=np.eye(m)[0])
+            with pytest.raises(TransientDivergenceError) as info:
+                rk4_transient(bad, cfg)
+            assert info.value.step == 13
+
+    def test_value_error_at_a_nonfinite_stage_is_divergence(self):
+        # 1e300 * x0 overflows to inf in the second slope, so the third
+        # stage is inf, where math.sin raises ValueError
+        for m in (1, 3):
+            bad = PeriodicSystem(
+                dim=m, omega=1.0,
+                rhs=lambda x, t, _, m=m: ((math.sin(x[0]) + 1e300 * x[0],)
+                                          + (0.0,) * (m - 1)))
+            cfg = TransientConfig(cycles=1, steps_per_cycle=8,
+                                  initial_state=np.eye(m)[0])
+            with pytest.raises(TransientDivergenceError) as info:
+                rk4_transient(bad, cfg)
+            assert info.value.step == 1
 
     def test_value_error_at_a_finite_state_propagates(self):
         # only a ValueError at a non-finite stage state is divergence
         def rhs(x, t, _):
             if x[0] > 1.5:
                 raise ValueError("outside the model's domain")
-            return (1.0,)
+            return (1.0,) * len(x)
 
-        bad = PeriodicSystem(dim=1, rhs=rhs, omega=1.0)
-        cfg = TransientConfig(cycles=1, steps_per_cycle=16,
-                              initial_state=np.array([1.0]))
-        with pytest.raises(ValueError, match="outside the model's domain"):
-            rk4_transient(bad, cfg)
+        for m in (1, 3):
+            bad = PeriodicSystem(dim=m, rhs=rhs, omega=1.0)
+            cfg = TransientConfig(cycles=1, steps_per_cycle=16,
+                                  initial_state=np.ones(m))
+            with pytest.raises(ValueError,
+                               match="outside the model's domain"):
+                rk4_transient(bad, cfg)
 
     def test_rhs_of_the_wrong_length_is_rejected(self):
-        bad = PeriodicSystem(dim=2, rhs=lambda x, t, _: (x[1], -x[0], 1.0),
-                             omega=1.0)
-        cfg = TransientConfig(cycles=1, steps_per_cycle=16,
-                              initial_state=np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="3 values, expected 2"):
-            rk4_transient(bad, cfg)
+        # too long and too short, at m = 2 and m = 3
+        for m, returned in ((2, 3), (2, 1), (3, 4), (3, 2)):
+            bad = PeriodicSystem(
+                dim=m, omega=1.0,
+                rhs=lambda x, t, _, n=returned: (0.5,) * n)
+            cfg = TransientConfig(cycles=1, steps_per_cycle=16,
+                                  initial_state=np.zeros(m))
+            with pytest.raises(ValueError,
+                               match=f"{returned} values, expected {m}"):
+                rk4_transient(bad, cfg)
+
+    def test_rhs_is_called_four_times_per_step(self):
+        calls = []
+
+        def rhs(x, t, p):
+            calls.append(type(x))
+            return (x[1], -x[0] + p * math.cos(t))
+
+        system = PeriodicSystem(dim=2, rhs=rhs, omega=1.3, params=0.5)
+        cfg = TransientConfig(cycles=3, steps_per_cycle=40,
+                              initial_state=np.array([0.1, 0.0]))
+        rk4_transient(system, cfg)
+        assert len(calls) == 4 * 3 * 40
+        # the state is passed as a list, as the rhs contract says
+        assert set(calls) == {list}
 
     def test_grid_sampling_requires_fine_steps(self):
         sys = linear_system(1.0)
@@ -307,6 +352,26 @@ class TestFloatLoopMatchesArrayLoop:
 
         system = PeriodicSystem(dim=2, rhs=duffing, omega=1.3, params=2.5)
         _assert_bitwise_equal_to_array_loop(system, [0.5, -0.3], 4, 96, 11)
+
+    @settings(max_examples=15, deadline=None)
+    @given(m=st.sampled_from([4, 5]), c=st.floats(0.1, 3.0, **_finite),
+           drive=st.floats(-5.0, 5.0, **_finite),
+           x0=st.lists(st.floats(-5.0, 5.0, **_finite), min_size=5,
+                       max_size=5),
+           steps=st.integers(8, 60), cycles=st.integers(1, 3))
+    def test_linear_chain_beyond_the_models(self, m, c, drive, x0, steps,
+                                            cycles):
+        # dimensions no model has: a damped chain of m coupled
+        # components, its first one driven by a cosine
+        def chain(x, t, p):
+            out = [-x[j] + c * (x[j + 1] - x[j]) for j in range(m - 1)]
+            out.append(-x[m - 1] + c * (x[m - 2] - x[m - 1]))
+            out[0] += p * math.cos(t)
+            return out
+
+        system = PeriodicSystem(dim=m, rhs=chain, omega=1.7, params=drive)
+        _assert_bitwise_equal_to_array_loop(system, x0[:m], cycles,
+                                            8 * 3 + steps, 3)
 
 
 class TestGuessNearPi:
