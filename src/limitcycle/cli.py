@@ -97,10 +97,10 @@ class RunConfig:
     """Resolved settings of one CLI run (flags layered over config file)."""
 
     model: str
-    N: int
+    N: int | None  # None for simulate, as is guess: a transient needs neither
     params: dict
     subharmonic: int = 1
-    guess: str = "constant:0"
+    guess: str | None = "constant:0"
     out: str | None = None
 
 
@@ -167,18 +167,17 @@ def _resolve_config(args) -> RunConfig:
             return _parse_number(file_run[key], cast, f"config value {key}")
         return default
 
-    N = _pick(args.N, "n", int, None)
-    if N is None:
+    grid = "N" in args  # solve and sweep take --N and --guess
+    N = _pick(args.N, "n", int, None) if grid else None
+    if grid and N is None:
         raise ValueError("no node count given (flag --N or config [run] n)")
     params = {**file_params, **_parse_param_items(args.param or ())}
     out = _pick(args.out, "out", str, None)
     _check_writable(out)
     return RunConfig(
-        model=model, N=N, params=params,
+        model=model, N=N, params=params, out=out,
         subharmonic=_pick(args.subharmonic, "subharmonic", int, 1),
-        guess=_pick(args.guess, "guess", str, "constant:0"),
-        out=out,
-    )
+        guess=_pick(args.guess, "guess", str, "constant:0") if grid else None)
 
 
 def _check_writable(path) -> None:
@@ -198,7 +197,7 @@ def _check_writable(path) -> None:
 
 
 def _instantiate(cfg: RunConfig):
-    """Build (params, system, problem) for a resolved config."""
+    """(params, system, problem) of a config; no node count, no problem."""
     model = _MODELS[cfg.model]
     valid = {f.name for f in dataclasses.fields(model.params)}
     unknown = sorted(set(cfg.params) - valid)
@@ -210,7 +209,8 @@ def _instantiate(cfg: RunConfig):
     params = model.params(**cfg.params)
     system = dataclasses.replace(globals()[model.factory](params),
                                  subharmonic=cfg.subharmonic)
-    return params, system, CollocationProblem.build(system, cfg.N)
+    return params, system, (None if cfg.N is None else
+                            CollocationProblem.build(system, cfg.N))
 
 
 def _read_solution(path: str):
@@ -292,6 +292,9 @@ def _header_lines(cfg: RunConfig, params, system, result=None, extra=()):
     lines = [f"model={cfg.model}", f"N={cfg.N}", f"m={system.dim}",
              f"omega={_fmt(system.omega)}",
              f"subharmonic={cfg.subharmonic}", f"guess={cfg.guess}"]
+    if cfg.N is None:  # simulate has no node count and no guess
+        lines.remove("N=None")
+        lines.remove("guess=None")
     for field in sorted(f.name for f in dataclasses.fields(params)):
         lines.append(f"param.{field}={_fmt(getattr(params, field))}")
     if result is not None:
@@ -451,16 +454,17 @@ def cmd_matrix(args) -> int:
     return 0
 
 
-def _add_run_options(sp):
+def _add_run_options(sp, collocation=True):
     sp.add_argument("--config", help="INI config file; flags override it")
     sp.add_argument("--model", choices=sorted(_MODELS))
-    sp.add_argument("--N", type=int, help="odd number of nodes")
+    if collocation:  # a node grid and a Newton start
+        sp.add_argument("--N", type=int, help="odd number of nodes")
+        sp.add_argument("--guess",
+                        help="constant:v | pi | sin:eps[,harmonic]"
+                             " | rk4:cycles | file:path")
     sp.add_argument("--subharmonic", type=int)
     sp.add_argument("--param", nargs="*", action="extend",
                     metavar="NAME=VALUE")
-    sp.add_argument("--guess",
-                    help="constant:v | pi | sin:eps[,harmonic] | rk4:cycles"
-                         " | file:path")
     sp.add_argument("--out", help="output CSV path (default: stdout)")
 
 
@@ -488,7 +492,7 @@ def _build_parser():
     sp.set_defaults(func=cmd_interp)
 
     sp = sub.add_parser("simulate", help="integrate a transient with RK4")
-    _add_run_options(sp)
+    _add_run_options(sp, collocation=False)
     sp.add_argument("--cycles", type=int)
     sp.add_argument("--steps", type=int, help="integration steps per cycle")
     sp.add_argument("--initial", help="comma-separated initial state")

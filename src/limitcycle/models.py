@@ -32,8 +32,6 @@ __all__ = [
     "diode_voltage",
     "diode_voltages",
     "circuit_outputs",
-    "BOLTZMANN",
-    "ELECTRON_CHARGE",
 ]
 
 BOLTZMANN = 1.380649e-23       # J/K

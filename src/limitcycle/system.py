@@ -214,20 +214,18 @@ def _node_values(problem: CollocationProblem, table: np.ndarray,
     m, K = system.dim, nodes.size
     name, shape = ("rhs_table", (m, K)) if kind == "rhs" else ("jac", (K, m, m))
     form = getattr(system, name)
+    j = None
     try:
         if form is not None:
             values = np.array(form(columns, phases, params), dtype=float)
         else:
             values = np.empty(shape)
             for j in range(K):
-                try:
-                    values[:, j] = system.rhs(columns[:, j], phases[j], params)
-                except Exception as exc:
-                    raise RhsEvaluationError(j, str(exc)) from exc
-    except RhsEvaluationError as exc:
-        column, cause = exc.node, exc.__cause__ or exc
+                values[:, j] = system.rhs(columns[:, j], phases[j], params)
     except Exception as exc:
-        column, cause = None, exc
+        # the loop's column, or the one a table form's own error names
+        named = form is not None and isinstance(exc, RhsEvaluationError)
+        column, cause = (exc.node, exc.__cause__ or exc) if named else (j, exc)
     else:
         if values.shape != shape:
             raise ValueError(

@@ -125,18 +125,22 @@ class TestSolve:
 
     def test_file_guess_refuses_simulate_and_sweep_files(self, tmp_path,
                                                          capsys):
-        # both have N data rows, but no phase column holding the nodes
+        # a transient has no node count; a sweep has N data rows, but no
+        # phase column holding the nodes
         sim, swept = tmp_path / "sim.csv", tmp_path / "sweep.csv"
-        assert main(["simulate", "--model", "circuit", "--N", "51",
+        assert main(["simulate", "--model", "circuit",
                      "--cycles", "1", "--steps", "50", "--out", str(sim)]) == 0
         assert main(["sweep", "--model", "linear", "--N", "11",
                      "--sweep", "p=0:10:1", "--out", str(swept)]) == 0
         capsys.readouterr()
-        for model, N, path in [("circuit", "51", sim), ("linear", "11", swept)]:
+        for model, N, path, named in [
+            ("circuit", "51", sim, "solution file lacks the N header field"),
+            ("linear", "11", swept,
+             "solution file phases are not the equispaced nodes"),
+        ]:
             assert main(["solve", "--model", model, "--N", N,
                          "--guess", f"file:{path}"]) == 2, path
-            assert _error_message(capsys) == (
-                "solution file phases are not the equispaced nodes")
+            assert _error_message(capsys) == named
 
     def test_circuit_file_guess_takes_states_by_name(self, tmp_path):
         # the derived columns i_d and V0 follow x1..x3 and are not states
@@ -249,36 +253,36 @@ class TestSolve:
           "--cycles", "2"], "initial state value 'inf'"),
         (["simulate", "--model", "linear", "--param", "p=inf",
           "--cycles", "2"], "parameter 'p' 'inf'"),
-        (["solve", "--model", "linear", "--param", "p=inf",
+        (["solve", "--N", "11", "--model", "linear", "--param", "p=inf",
           "--guess", "rk4:2"], "parameter 'p' 'inf'"),
-        (["solve", "--model", "linear", "--param", "p=inf"],
+        (["solve", "--N", "11", "--model", "linear", "--param", "p=inf"],
          "parameter 'p' 'inf'"),
     ], ids=["simulate-initial", "simulate-param", "solve-rk4-param",
             "solve-param"])
     def test_non_finite_numbers_exit_2(self, args, named, capsys):
         # refused where the CLI parses them, before any rhs evaluation
-        assert main(args + ["--N", "11"]) == 2
+        assert main(args) == 2
         assert capsys.readouterr().err == f"error: {named} is not finite\n"
 
     @pytest.mark.parametrize("args,named", [
         (["simulate", "--param", "a=-100", "--cycles", "30"],
          "transient diverged (non-finite state) at step 5310"),
-        (["solve", "--param", "a=-100", "--guess", "rk4:30"],
+        (["solve", "--N", "11", "--param", "a=-100", "--guess", "rk4:30"],
          "transient diverged (non-finite state) at step 51850"),
-        (["solve", "--param", "b=1e300", "--guess", "rk4:2"],
+        (["solve", "--N", "11", "--param", "b=1e300", "--guess", "rk4:2"],
          "Jacobian numerically singular at Newton iteration 1"),
         # a stage state reaches inf and the rhs takes math.sin of it
         (["simulate", "--param", "a=-10", "--initial", "0,1e308",
           "--cycles", "1", "--steps", "8"],
          "transient diverged (non-finite state) at step 1"),
-        (["sweep", "--param", "a=0.0", "b=500", "omega=2.0",
+        (["sweep", "--N", "11", "--param", "a=0.0", "b=500", "omega=2.0",
           "--guess", "sin:2.5", "--sweep", "b=500:400:10"],
          "initial solve did not converge at parameter value 500.0"),
     ], ids=["simulate-diverges", "rk4-guess-diverges", "singular-jacobian",
             "simulate-stage-not-finite", "sweep-seed-fails"])
     def test_solver_failure_exits_1_without_traceback(self, args, named,
                                                       capsys):
-        rc = main(args + ["--model", "pendulum", "--N", "11"])
+        rc = main(args + ["--model", "pendulum"])
         err = capsys.readouterr().err
         assert rc == 1
         assert err == f"error: {named}\n"
@@ -300,9 +304,10 @@ class TestSolve:
         # i_s=0 would pass as converged with an inf residual, and the
         # scalar rhs of an rk4 guess or of simulate divides by C1, C2, L
         # and R3 + R4: each command must refuse the record up front
-        for command in (["solve"], ["solve", "--guess", "rk4:1"],
+        for command in (["solve", "--N", "5"],
+                        ["solve", "--N", "5", "--guess", "rk4:1"],
                         ["simulate", "--cycles", "1", "--steps", "40"]):
-            assert main(command + ["--model", model, "--N", "5",
+            assert main(command + ["--model", model,
                                    "--param", *param.split()]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and named in err
@@ -428,7 +433,7 @@ class TestOutPath:
         (["sweep", "--model", "pendulum", "--N", "101", "--subharmonic", "2",
           "--param", "a=0.1", "b=181", "omega=17.5", "--guess", "sin:0.8",
           "--sweep", "b=181:141:1"], "sweep"),
-        (["simulate", "--model", "linear", "--N", "3"], "rk4_transient"),
+        (["simulate", "--model", "linear"], "rk4_transient"),
     ], ids=["solve", "sweep", "simulate"])
     def test_unwritable_out_exits_2_before_the_work(self, args, work,
                                                     tmp_path, monkeypatch,
@@ -573,7 +578,7 @@ class TestInterp:
 class TestSimulate:
     def test_row_count_and_columns(self, tmp_path):
         out = tmp_path / "tr.csv"
-        rc = main(["simulate", "--model", "linear", "--N", "3",
+        rc = main(["simulate", "--model", "linear",
                    "--cycles", "2", "--steps", "64", "--out", str(out)])
         assert rc == 0
         header, data = _read(out)
@@ -583,7 +588,7 @@ class TestSimulate:
 
     def test_circuit_outputs_match_the_per_state_rhs(self, tmp_path):
         out = tmp_path / "tr.csv"
-        rc = main(["simulate", "--model", "circuit", "--N", "3",
+        rc = main(["simulate", "--model", "circuit",
                    "--cycles", "2", "--steps", "64", "--out", str(out)])
         assert rc == 0
         header, data = _read(out)
@@ -600,18 +605,56 @@ class TestSimulate:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_initial_state_must_match_dimension(self, capsys):
-        rc = main(["simulate", "--model", "pendulum", "--N", "3",
+        rc = main(["simulate", "--model", "pendulum",
                    "--cycles", "1", "--steps", "16", "--initial", "1.0"])
         assert rc == 2
         assert _error_message(capsys) == (
             "initial state has shape (1,), expected (2,)")
-        base = ["simulate", "--model", "linear", "--N", "3"]
+        base = ["simulate", "--model", "linear"]
         for args, named in [
             (["--initial", "a"], "initial state value 'a'"),
             (["--cycles", "0"], "cycles must be >= 1, got 0"),
         ]:
             assert main(base + args) == 2, args
             assert named in _error_message(capsys), args
+
+    def test_runs_without_a_node_count(self, tmp_path):
+        # no --N and no config n: a transient has no grid
+        out = tmp_path / "tr.csv"
+        assert main(["simulate", "--model", "linear", "--cycles", "1",
+                     "--steps", "8", "--out", str(out)]) == 0
+        header, data = _read(out)
+        assert "N" not in header and "guess" not in header
+        assert header["cycles"] == "1" and data.shape == (9, 2)
+
+    @pytest.mark.parametrize("option", [["--N", "3"], ["--guess", "pi"]],
+                             ids=["N", "guess"])
+    def test_collocation_options_exit_2(self, option, capsys):
+        # argparse refuses an option the command does not take
+        assert main(["simulate", "--model", "linear"] + option) == 2
+        assert (f"unrecognized arguments: {' '.join(option)}"
+                in capsys.readouterr().err)
+
+    def test_config_node_count_and_guess_are_ignored(self, tmp_path):
+        # n is even and the guess unknown: solve refuses both, simulate
+        # reads neither
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nmodel = linear\nn = 4\nguess = nosuch:1\n")
+        out = tmp_path / "tr.csv"
+        assert main(["simulate", "--config", str(ini), "--cycles", "1",
+                     "--steps", "8", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert not [line for line in lines
+                    if line.startswith(("# N=", "# guess="))]
+        assert main(["solve", "--config", str(ini)]) == 2
+
+    def test_builds_no_collocation_problem(self, monkeypatch, tmp_path):
+        def never(*a, **k):
+            raise AssertionError("simulate built a collocation problem")
+
+        monkeypatch.setattr(cli.CollocationProblem, "build", never)
+        assert main(["simulate", "--model", "circuit", "--cycles", "1",
+                     "--steps", "40", "--out", str(tmp_path / "tr.csv")]) == 0
 
 
 class TestMatrix:

@@ -112,6 +112,9 @@ class TestResidual:
             residual(prob, np.zeros(5))
         first_positive = int(np.argmax(prob.grid.nodes > 0))
         assert info.value.node == first_positive
+        assert str(info.value) == (
+            f"rhs evaluation failed at node index {first_positive}: blow up")
+        assert type(info.value.__cause__) is FloatingPointError
 
     def test_component_permutation_equivariance(self):
         # Swapping the two pendulum components everywhere must permute the
@@ -427,6 +430,9 @@ class TestTableForm:
         with pytest.raises(RhsEvaluationError, match="node index 10") as info:
             residual(prob, np.zeros(11))
         assert info.value.node == 10
+        assert str(info.value) == (
+            "rhs evaluation failed at node index 10: refused")
+        assert str(info.value.__cause__) == "refused"
 
     def test_table_failure_without_a_column_is_an_rhs_error(self):
         def failing_table(table, t, params):
@@ -437,6 +443,9 @@ class TestTableForm:
         with pytest.raises(RhsEvaluationError, match="blow up") as info:
             residual(CollocationProblem.build(sys, 5), np.zeros(5))
         assert info.value.node is None
+        assert str(info.value) == (
+            "rhs evaluation failed over a node table: blow up")
+        assert type(info.value.__cause__) is FloatingPointError
 
     def test_node_major_rhs_table_is_refused(self):
         # (K, m) for (m, K): with m = 2 and N = 5 the transpose has the
