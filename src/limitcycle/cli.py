@@ -207,10 +207,16 @@ def _instantiate(cfg: RunConfig):
             f"model {cfg.model!r} has no parameter(s) {', '.join(unknown)}"
         )
     params = model.params(**cfg.params)
-    system = dataclasses.replace(globals()[model.factory](params),
-                                 subharmonic=cfg.subharmonic)
+    system = _system(cfg, params)
     return params, system, (None if cfg.N is None else
                             CollocationProblem.build(system, cfg.N))
+
+
+def _system(cfg: RunConfig, params):
+    """The model's system at ``params``, of the run's subharmonic order."""
+    system = globals()[_MODELS[cfg.model].factory](params)
+    return (system if system.subharmonic == cfg.subharmonic else
+            dataclasses.replace(system, subharmonic=cfg.subharmonic))
 
 
 def _read_solution(path: str):
@@ -289,12 +295,11 @@ def _initial_guess(cfg: RunConfig, system, problem) -> np.ndarray:
 
 
 def _header_lines(cfg: RunConfig, params, system, result=None, extra=()):
-    lines = [f"model={cfg.model}", f"N={cfg.N}", f"m={system.dim}",
-             f"omega={_fmt(system.omega)}",
-             f"subharmonic={cfg.subharmonic}", f"guess={cfg.guess}"]
-    if cfg.N is None:  # simulate has no node count and no guess
-        lines.remove("N=None")
-        lines.remove("guess=None")
+    lines = [f"model={cfg.model}", f"m={system.dim}",
+             f"omega={_fmt(system.omega)}", f"subharmonic={cfg.subharmonic}"]
+    if cfg.N is not None:  # simulate has no node count and no guess
+        lines.insert(1, f"N={cfg.N}")
+        lines.append(f"guess={cfg.guess}")
     for field in sorted(f.name for f in dataclasses.fields(params)):
         lines.append(f"param.{field}={_fmt(getattr(params, field))}")
     if result is not None:
@@ -379,8 +384,9 @@ def cmd_sweep(args) -> int:
         )
 
     def family(p):
-        return _instantiate(
-            dataclasses.replace(cfg, params={**cfg.params, name: p}))[2]
+        # the names are checked: a point builds only its record and problem
+        params_p = _MODELS[cfg.model].params(**{**cfg.params, name: p})
+        return CollocationProblem.build(_system(cfg, params_p), cfg.N)
 
     branch = sweep(family, _initial_guess(cfg, system, problem), spec)
     results = [result for _, result in branch.points]

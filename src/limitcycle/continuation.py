@@ -12,12 +12,14 @@ parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .solver import SingularJacobianError, SolveResult, newton_solve
-from .spectral import NodeGrid, trig_interpolate
+from .spectral import NodeGrid, _cardinal, trig_interpolate
 from .system import CollocationProblem, RhsEvaluationError
 
 __all__ = [
@@ -146,6 +148,31 @@ _NEWTON_STEPS = 4
 _OVERSAMPLE = 8
 
 
+# 64 N^2 bytes each: 0.65 MB at N = 101, 64 MB at N = 1001
+@lru_cache(maxsize=2)
+def _sampling_matrix(N: int) -> np.ndarray:
+    """Read-only (N, 8N) cardinal functions at the dense phases -pi +
+    2*pi*i/(8N); node j = 1..N is dense index 8*j mod 8N, so the offsets
+    are reduced as integers and carry no phase rounding."""
+    M = _OVERSAMPLE * N
+    off = (np.arange(M)[:, None] - _OVERSAMPLE * np.arange(1, N + 1)) % M
+    off[off > M // 2] -= M
+    kern, _ = _cardinal(N, (2.0 * np.pi / M) * off)
+    S = np.ascontiguousarray(kern.T)
+    S.setflags(write=False)
+    return S
+
+
+def _dense_samples(vals: np.ndarray) -> np.ndarray:
+    """The interpolants of the rows (P, N) at the 8N dense phases, by one
+    product on scipy's BLAS (see ``spectral._times_dt``); anchoring each
+    row at its vals[0] keeps constant rows bitwise intact."""
+    anchor = vals[:, :1]
+    dense = dgemm(1.0, _sampling_matrix(vals.shape[1]).T, (vals - anchor).T).T
+    dense += anchor  # in place: a second (P, 8N) array costs its page faults
+    return dense
+
+
 def extract_extrema(
     grid: NodeGrid,
     solutions: np.ndarray,
@@ -155,14 +182,14 @@ def extract_extrema(
 
     ``solutions`` is one flat state (m*N,), which gives two floats, or a
     stack (P, m*N) of them, one per row as a sweep's branch points are,
-    which gives two (P,) arrays.  All rows go through one pass: one rfft
-    of the trigonometric interpolants p serves the search and the
-    refinement.  Zero-padding it samples p on 8*N equispaced phases; a
-    few Newton steps on p' = 0 then sharpen the two discrete extrema of
-    each row, with p' and p'' summed from the same coefficients, in
-    which differentiation is diagonal.  Each step stays within one
-    sample spacing of the sampled extremum and is zero where p'' lacks
-    the extremum's curvature.  One cardinal-sum evaluation of all rows
+    which gives two (P,) arrays.  All rows go through one pass: one BLAS
+    product with a cached matrix of cardinal functions samples the
+    trigonometric interpolants p on 8*N equispaced phases; a few Newton
+    steps on p' = 0 then sharpen the two discrete extrema of each row,
+    with p' and p'' summed from one rfft of the rows, in which
+    differentiation is diagonal.  Each step stays within one sample
+    spacing of the sampled extremum and is zero where p'' lacks the
+    extremum's curvature.  One cardinal-sum evaluation of all rows
     gives the refined values.
     """
     X = np.asarray(solutions, dtype=float)
@@ -177,14 +204,11 @@ def extract_extrema(
         raise ValueError(f"component {component} out of range for {m} states")
     vals = np.atleast_2d(X)[:, component * N:(component + 1) * N]
 
-    # dense phase i is -pi + 2*pi*i/M, so node j sits at i = 8*j (mod M)
-    # and the node at pi leads the FFT's input; anchoring each row at its
-    # vals[0] keeps constant data bitwise intact
+    # dense phase i is -pi + 2*pi*i/M; the node at pi leads the FFT's input
     M = _OVERSAMPLE * N
     ts = -np.pi + 2.0 * np.pi * np.arange(M) / M
-    anchor = vals[:, :1]
-    coeffs = np.fft.rfft(np.roll(vals - anchor, 1, axis=1), axis=1)
-    dense = np.fft.irfft(coeffs, M, axis=1) * (M / N) + anchor
+    coeffs = np.fft.rfft(np.roll(vals - vals[:, :1], 1, axis=1), axis=1)
+    dense = _dense_samples(vals)
 
     # for odd N, p(t) - vals[0] = (c_0 + 2 Re sum_{k>=1} c_k e^{ik(t+pi)})/N,
     # so p' and p'' weight mode k by ik and -k^2; t holds (max, min) per row

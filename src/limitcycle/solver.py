@@ -131,16 +131,15 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray) -> SolveResult:
     # a non-finite F is reported just below, not warned about
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         F = rhs_stack(problem, X)
-    bad = np.flatnonzero(~np.isfinite(F))
-    if bad.size:
+    if not np.isfinite(F).all():
         # the tolerance below, and every norm comparison, would be inf or nan
-        node = int(bad[0] % problem.grid.size)
+        node = int(np.flatnonzero(~np.isfinite(F))[0] % problem.grid.size)
         raise RhsEvaluationError(
             node, f"rhs is not finite at node index {node} of the initial state")
-    tol = 1e-10 * (1.0 + float(np.max(np.abs(F))))
+    tol = 1e-10 * (1.0 + float(np.abs(F).max()))
 
     R = residual(problem, X, F)
-    norm = float(np.max(np.abs(R)))
+    norm = float(np.abs(R).max())
     history: list[tuple[int, float, float]] = []
     factor, factorizations = None, 0
     while norm > tol and len(history) < _MAX_ITERATIONS:
@@ -180,7 +179,7 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray) -> SolveResult:
                 # a trial outside f's domain is rejected like one that
                 # fails to decrease the residual
                 continue
-            norm_trial = float(np.max(np.abs(R_trial)))
+            norm_trial = float(np.abs(R_trial).max())
             if norm_trial < norm:
                 break
         else:

@@ -144,6 +144,23 @@ def _times_dt(D: DiffMatrix, y: np.ndarray) -> np.ndarray:
     return dgemm(1.0, D.entries.T, y.T, trans_a=1).T
 
 
+def _cardinal(N: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cardinal functions S(u) = sin(N*u/2) / (N*sin(u/2)) at the offsets
+    u (..., N) of query phases from the nodes, rows summing to 1, and the
+    mask of whole periods: a query on a node gets that node's unit row."""
+    # reduce to [-pi, pi]: S is invariant under 2*pi shifts (N odd), and
+    # the raw formula is 0/0-inaccurate near nonzero multiples of 2*pi
+    u = u - 2.0 * np.pi * np.round(u / (2.0 * np.pi))
+    den = np.sin(0.5 * u)
+    hit = den == 0.0
+    kern = np.sin(0.5 * N * u) / (N * np.where(hit, 1.0, den))
+    kern = np.where(hit.any(axis=-1, keepdims=True), hit, kern)
+    # cardinal functions sum to 1 exactly; renormalize the rounded sums
+    # so the constant mode does not drift
+    kern /= kern.sum(axis=-1, keepdims=True)
+    return kern, hit
+
+
 def trig_interpolate(grid: NodeGrid, values: np.ndarray, t) -> np.ndarray | float:
     """Evaluate the trigonometric interpolant of nodal data at phases t.
 
@@ -173,18 +190,7 @@ def trig_interpolate(grid: NodeGrid, values: np.ndarray, t) -> np.ndarray | floa
             f"phases of shape {t_arr.shape} do not match value rows of"
             f" shape {x.shape}"
         )
-    u = tq[..., None] - grid.nodes
-    # reduce to [-pi, pi]: S_j is invariant under 2*pi shifts (N odd), and
-    # the raw formula is 0/0-inaccurate near nonzero multiples of 2*pi
-    u = u - 2.0 * np.pi * np.round(u / (2.0 * np.pi))
-    den = np.sin(0.5 * u)
-    num = np.sin(0.5 * grid.size * u)
-    hit = den == 0.0
-    safe_den = np.where(hit, 1.0, den)
-    kern = num / (grid.size * safe_den)
-    # cardinal functions sum to 1 exactly; renormalize the rounded sums
-    # so the constant mode does not drift
-    kern /= kern.sum(axis=-1, keepdims=True)
+    kern, hit = _cardinal(grid.size, tq[..., None] - grid.nodes)
     # anchoring keeps constant data bitwise intact: the kernel sees only
     # each row's deviation from its x[0], which vanishes exactly for
     # constants

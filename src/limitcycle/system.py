@@ -24,6 +24,7 @@ wholly on one side, which would bias the mean by O(1/N).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -124,18 +125,21 @@ def _wrap_phase(t: np.ndarray) -> np.ndarray:
     return np.where(w > np.pi, w - 2.0 * np.pi, w)
 
 
-def _eval_plan(phases: np.ndarray, breakpoints,
-               s: int) -> tuple[np.ndarray, np.ndarray]:
-    """The node index and forcing phase of every column f is evaluated at.
+@lru_cache(maxsize=8)
+def _eval_plan(N: int, s: int, breakpoints: tuple) -> tuple[np.ndarray, ...]:
+    """The forcing phases of the N nodes, and the node index and forcing
+    phase of every column f is evaluated at; cached, since a sweep builds
+    a problem at every point on the same plan, which each problem makes
+    read-only.
 
     Columns 0..N-1 are the nodes at their forcing phases, except that a
     node on a breakpoint takes the phase just before it; then comes each
     such jump node again, at the phase just after its breakpoint.
     """
-    N = phases.size
+    nodes = diff_matrix_equispaced(N).grid.nodes
+    phases = nodes if s == 1 else _wrap_phase(s * nodes)
     if not breakpoints:
-        # the common case, cheap: a sweep builds a problem at every point
-        return np.arange(N), phases
+        return phases, np.arange(N), phases
     bps = np.asarray(breakpoints, dtype=float)
     # the wrapped phases s * t_j round to within about 2*s ulps of pi
     tol = 4.0 * s * np.spacing(np.pi)
@@ -149,7 +153,7 @@ def _eval_plan(phases: np.ndarray, breakpoints,
     after[after > np.pi] -= 2.0 * np.pi
     node_phases = phases.copy()
     node_phases[jumps] = np.nextafter(at, -np.inf)
-    return (np.concatenate([np.arange(N), jumps]),
+    return (phases, np.concatenate([np.arange(N), jumps]),
             np.concatenate([node_phases, after]))
 
 
@@ -181,8 +185,8 @@ class CollocationProblem:
     def build(cls, system: PeriodicSystem, N: int) -> "CollocationProblem":
         D = diff_matrix_equispaced(N)
         s = system.subharmonic
-        phases = D.grid.nodes if s == 1 else _wrap_phase(s * D.grid.nodes)
-        eval_nodes, eval_phases = _eval_plan(phases, system.breakpoints, s)
+        phases, eval_nodes, eval_phases = _eval_plan(
+            N, s, tuple(system.breakpoints))
         return cls(system=system, grid=D.grid, D=D,
                    omega_eff=system.omega / s, forcing_phases=phases,
                    eval_nodes=eval_nodes, eval_phases=eval_phases)

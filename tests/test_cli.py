@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -5,10 +6,13 @@ import pytest
 
 import limitcycle.cli as cli
 import limitcycle.models as models
+import limitcycle.system
 from limitcycle.cli import main
 from limitcycle.continuation import extract_extrema, sweep
-from limitcycle.models import CircuitParams, circuit_outputs, circuit_system
+from limitcycle.models import (CircuitParams, PendulumParams, circuit_outputs,
+                               circuit_system, pendulum_system)
 from limitcycle.spectral import diff_matrix_equispaced, equispaced_nodes
+from limitcycle.system import CollocationProblem
 
 
 def _read(path):
@@ -397,6 +401,52 @@ class TestSweep:
             assert abs(row[2] - hi) <= 1e-14
             assert abs(row[3] - lo) <= 1e-14
         assert np.all(data[:, 2] - data[:, 3] > 1.0)
+
+    @pytest.mark.parametrize("args, system_at", [
+        # omega = 2*pi/T_period moves at every point; the model rejects
+        # T_period = 0, so the branch ends truncated
+        (["--model", "circuit", "--N", "11",
+          "--sweep", "T_period=1e-5:0:5e-6"],
+         lambda p: circuit_system(CircuitParams(T_period=p))),
+        (["--model", "pendulum", "--N", "101", "--subharmonic", "2",
+          "--param", "a=0.1", "omega=17.5", "--guess", "sin:0.8",
+          "--sweep", "b=181:179:1"],
+         lambda p: dataclasses.replace(
+             pendulum_system(PendulumParams(a=0.1, b=p, omega=17.5)),
+             subharmonic=2)),
+    ], ids=["circuit_period", "pendulum_period_2"])
+    def test_every_point_builds_a_fresh_problem(self, args, system_at,
+                                                monkeypatch, tmp_path):
+        built = []
+
+        def recording_sweep(family, X0, cfg):
+            def recording_family(p):
+                built.append((p, family(p)))
+                return built[-1][1]
+            return sweep(recording_family, X0, cfg)
+
+        monkeypatch.setattr(cli, "sweep", recording_sweep)
+        out = tmp_path / "sw.csv"
+        assert main(["sweep", *args, "--out", str(out)]) == 0
+        status = _read(out)[0]["status"]
+        circuit = args[1] == "circuit"
+        assert status == ("truncated" if circuit else "completed")
+        assert len({problem.omega_eff for _, problem in built}) == (
+            len(built) if circuit else 1)
+        plan = ("forcing_phases", "eval_nodes", "eval_phases")
+        for p, problem in built:
+            # the plan computed afresh, not taken from the cache
+            limitcycle.system._eval_plan.cache_clear()
+            fresh = CollocationProblem.build(system_at(p), problem.grid.size)
+            assert problem.system.params == fresh.system.params
+            assert problem.system.subharmonic == fresh.system.subharmonic
+            assert problem.omega_eff == fresh.omega_eff
+            for name in plan:
+                shared = getattr(problem, name)
+                np.testing.assert_array_equal(shared, getattr(fresh, name))
+                assert shared is getattr(built[0][1], name)
+                assert not shared.flags.writeable
+            assert fresh.jump_nodes.size == (1 if circuit else 0)
 
     def test_guess_and_header_are_built_at_the_start_value(self, tmp_path):
         # the sweep overrides the swept parameter at every point, so its

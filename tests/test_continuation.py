@@ -268,6 +268,54 @@ def _oracle_extrema(grid, x):
     return tuple(out)
 
 
+def _irfft_samples(vals):
+    """The dense samples of the rows of ``vals`` (P, N) at the 8N phases
+    -pi + 2*pi*i/(8N) by a zero-padded irfft: the node at pi leads the
+    FFT's input, and each row is anchored at its vals[0]."""
+    N = vals.shape[1]
+    M = 8 * N
+    anchor = vals[:, :1]
+    coeffs = np.fft.rfft(np.roll(vals - anchor, 1, axis=1), axis=1)
+    return np.fft.irfft(coeffs, M, axis=1) * (M / N) + anchor
+
+
+class TestDenseSamples:
+    @pytest.mark.parametrize("N", [11, 101, 251])
+    def test_match_the_irfft_reference(self, N):
+        rng = np.random.default_rng(N)
+        grid = equispaced_nodes(N)
+        modes = np.arange(1, (N - 1) // 2 + 1)
+        # every mode present, mode 1 among them: no row repeats within a
+        # cycle, so its extrema are single samples
+        amps = rng.normal(size=(20, modes.size)) / modes
+        shifts = rng.uniform(-np.pi, np.pi, size=(20, modes.size))
+        rows = rng.normal(size=(20, 1)) + np.einsum(
+            "rk,rkj->rj", amps,
+            np.cos(modes[:, None] * grid.nodes - shifts[..., None]))
+        vals = np.vstack([rows, 5.0 * rng.normal(size=(4, 1)) + np.zeros(N)])
+        dense = continuation._dense_samples(vals)
+        want = _irfft_samples(vals)
+        assert dense.shape == want.shape == (24, 8 * N)
+        tol = 1e-13 * (1.0 + np.max(np.abs(vals), axis=1, keepdims=True))
+        assert np.all(np.abs(dense - want) <= tol)
+        np.testing.assert_array_equal(dense.argmax(axis=1),
+                                      want.argmax(axis=1))
+        np.testing.assert_array_equal(dense.argmin(axis=1),
+                                      want.argmin(axis=1))
+        assert np.all(dense[20:] == vals[20:, :1])
+
+    def test_sampling_matrix_is_read_only_and_its_cache_bounded(self):
+        S = continuation._sampling_matrix(11)
+        assert S.shape == (11, 88)
+        assert not S.flags.writeable
+        assert continuation._sampling_matrix(11) is S
+        for N in (13, 15, 17, 19):
+            continuation._sampling_matrix(N)
+        info = continuation._sampling_matrix.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
+
+
 class TestExtractExtrema:
     def test_constant_solution_is_exact(self):
         grid = equispaced_nodes(11)
