@@ -166,7 +166,8 @@ def _sampling_matrix(N: int) -> np.ndarray:
 def _dense_samples(vals: np.ndarray) -> np.ndarray:
     """The interpolants of the rows (P, N) at the 8N dense phases, by one
     product on scipy's BLAS (see ``spectral._times_dt``); anchoring each
-    row at its vals[0] keeps constant rows bitwise intact."""
+    row at its vals[0] keeps constant rows bitwise intact, though
+    ``extract_extrema`` skips them before its pass."""
     anchor = vals[:, :1]
     dense = dgemm(1.0, _sampling_matrix(vals.shape[1]).T, (vals - anchor).T).T
     dense += anchor  # in place: a second (P, 8N) array costs its page faults
@@ -182,15 +183,17 @@ def extract_extrema(
 
     ``solutions`` is one flat state (m*N,), which gives two floats, or a
     stack (P, m*N) of them, one per row as a sweep's branch points are,
-    which gives two (P,) arrays.  All rows go through one pass: one BLAS
-    product with a cached matrix of cardinal functions samples the
-    trigonometric interpolants p on 8*N equispaced phases; a few Newton
-    steps on p' = 0 then sharpen the two discrete extrema of each row,
-    with p' and p'' summed from one rfft of the rows, in which
-    differentiation is diagonal.  Each step stays within one sample
-    spacing of the sampled extremum and is zero where p'' lacks the
-    extremum's curvature.  One cardinal-sum evaluation of all rows
-    gives the refined values.
+    which gives two (P,) arrays.  A constant row (every node value minus
+    the first is zero; never so with inf or nan) is its own interpolant:
+    its max and min are its value, -0.0 read as +0.0.  All other rows go
+    through one pass: one BLAS product with a cached matrix of cardinal
+    functions samples the trigonometric interpolants p on 8*N equispaced
+    phases; a few Newton steps on p' = 0 then sharpen the two discrete
+    extrema of each row, with p' and p'' summed from one rfft of the
+    rows, in which differentiation is diagonal.  Each step stays within
+    one sample spacing of the sampled extremum and is zero where p''
+    lacks the extremum's curvature.  One cardinal-sum evaluation of all
+    rows gives the refined values.
     """
     X = np.asarray(solutions, dtype=float)
     N = grid.size
@@ -203,11 +206,23 @@ def extract_extrema(
     if not 0 <= component < m:
         raise ValueError(f"component {component} out of range for {m} states")
     vals = np.atleast_2d(X)[:, component * N:(component + 1) * N]
+    dev = vals - vals[:, :1]
+    moving = (dev != 0.0).any(axis=1)
+    hi, lo = vals[:, 0] + 0.0, vals[:, 0] + 0.0
+    if moving.any():
+        hi[moving], lo[moving] = _extrema_pass(grid, vals[moving], dev[moving])
+    if X.ndim == 1:
+        return float(hi[0]), float(lo[0])
+    return hi, lo
 
+
+def _extrema_pass(grid: NodeGrid, vals: np.ndarray, dev: np.ndarray):
+    """(max, min) of the rows (P, N) that move, dev = vals - vals[:, :1]."""
+    N = grid.size
     # dense phase i is -pi + 2*pi*i/M; the node at pi leads the FFT's input
     M = _OVERSAMPLE * N
     ts = -np.pi + 2.0 * np.pi * np.arange(M) / M
-    coeffs = np.fft.rfft(np.roll(vals - vals[:, :1], 1, axis=1), axis=1)
+    coeffs = np.fft.rfft(np.roll(dev, 1, axis=1), axis=1)
     dense = _dense_samples(vals)
 
     # for odd N, p(t) - vals[0] = (c_0 + 2 Re sum_{k>=1} c_k e^{ik(t+pi)})/N,
@@ -225,14 +240,11 @@ def extract_extrema(
         p2 = -(2.0 / N) * (z.real @ (k * k))
         curved = sign * p2 < 0.0
         if not curved.any():
-            # every step would be zero (constant rows, say)
+            # every step would be zero
             break
         step = np.where(curved, -p1 / np.where(curved, p2, 1.0), 0.0)
         t = np.clip(t + step, t0 - spacing, t0 + spacing)
     refined = trig_interpolate(grid, vals, t)
     # the sampled value is a lower bound on the max (upper on the min)
-    hi = np.maximum(refined[:, 0], sampled[:, 0])
-    lo = np.minimum(refined[:, 1], sampled[:, 1])
-    if X.ndim == 1:
-        return float(hi[0]), float(lo[0])
-    return hi, lo
+    return (np.maximum(refined[:, 0], sampled[:, 0]),
+            np.minimum(refined[:, 1], sampled[:, 1]))

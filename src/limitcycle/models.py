@@ -245,15 +245,17 @@ def diode_voltage(x1: float, x3: float, vs: float, p: CircuitParams) -> float:
 
     V_d = c - a*w where w <= 1, the blocking side, where w may underflow
     to 0; V_d = a*ln(a*w/isr) otherwise, where c and a*w grow together
-    and their difference would cancel.
+    and their difference would cancel.  Below an argument of -50, w is
+    ``math.exp`` of it, which is what scipy's wrightomega returns there.
     """
     # c and w as in _diode_omega, inline: RK4 calls this once per rhs, so
     # the three constants come out of p.derived in one unpack
     a, isr, log_isr_a = p.derived[:3]
     c = (vs - x1) + p.R2 * x3 + isr
     # kept on math, not np.where: the numpy form costs about five times
-    # as much on a scalar
-    w = float(_wrightomega()(c / a + log_isr_a))
+    # as much on a scalar; exp is several times cheaper than wrightomega
+    x = c / a + log_isr_a
+    w = math.exp(x) if x < -50.0 else float(_wrightomega()(x))
     return c - a * w if w <= 1.0 else a * math.log(a * w / isr)
 
 

@@ -321,6 +321,32 @@ class TestExtractExtrema:
         grid = equispaced_nodes(11)
         assert extract_extrema(grid, np.full(11, 3.7), 0) == (3.7, 3.7)
 
+    def test_constant_rows_skip_the_pass(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a constant row entered the pass")
+
+        monkeypatch.setattr(continuation, "_dense_samples", refuse)
+        monkeypatch.setattr(continuation, "trig_interpolate", refuse)
+        grid = equispaced_nodes(11)
+        values = np.array([np.pi, -2.5, 0.0, 1e300, 5e-324])
+        X = np.repeat(values[:, None], 22, axis=1)
+        hi, lo = extract_extrema(grid, X, 1)
+        np.testing.assert_array_equal(hi, values)
+        np.testing.assert_array_equal(lo, values)
+        assert extract_extrema(grid, X[0], 0) == (np.pi, np.pi)
+        # inf and nan give nan deviations: such a row stays on the pass
+        for bad in (np.inf, np.nan):
+            with pytest.raises(AssertionError, match="entered the pass"), \
+                    np.errstate(invalid="ignore"):
+                extract_extrema(grid, np.full(11, bad), 0)
+
+    def test_negative_zero_row_reads_positive_zero(self):
+        grid = equispaced_nodes(11)
+        hi, lo = extract_extrema(grid, np.full((2, 11), -0.0), 0)
+        single = extract_extrema(grid, np.full(11, -0.0), 0)
+        for v in (*hi, *lo, *single):
+            assert v == 0.0 and not np.signbit(v)
+
     def test_sine_samples_recover_unit_extrema(self):
         grid = equispaced_nodes(11)
         hi, lo = extract_extrema(grid, np.sin(grid.nodes), 0)

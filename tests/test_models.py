@@ -166,6 +166,45 @@ class TestDiode:
         f = circuit_system(p).rhs(np.array([x1, 0.0, x3]), 0.5, p)
         assert np.all(np.isfinite(f))
 
+    def test_exp_below_minus_50_is_bitwise_scipys_wrightomega(self):
+        # the reference takes w from scipy at every argument x
+        from scipy.special import wrightomega
+
+        p = CircuitParams()
+        a, isr, log_isr_a = p.derived[:3]
+
+        def reference(x1, x3, vs):
+            c = (vs - x1) + p.R2 * x3 + isr
+            w = float(wrightomega(c / a + log_isr_a))
+            return c - a * w if w <= 1.0 else a * math.log(a * w / isr)
+
+        def x1_for(x, x3=0.5, vs=-5.6):
+            # the state whose argument c/a + log(isr/a) is x, to rounding
+            return vs + p.R2 * x3 + isr - a * (x - log_isr_a)
+
+        rng = np.random.default_rng(50)
+        xs = np.concatenate([rng.uniform(-800.0, -50.0, 200),
+                             rng.uniform(-50.0, 40.0, 200),
+                             [-50.0, -745.2]])
+        states = [(x1_for(x), 0.5, -5.6) for x in xs]
+        # nudge x1 until the argument is -50.0 exactly; with vs = x3 = 0,
+        # x1 is as small as c and its ulps step the argument finely
+        x1 = x1_for(-50.0, 0.0, 0.0)
+        for _ in range(100):
+            arg = ((0.0 - x1) + p.R2 * 0.0 + isr) / a + log_isr_a
+            if arg == -50.0:
+                break
+            x1 = float(np.nextafter(x1, np.inf if arg > -50.0 else -np.inf))
+        assert arg == -50.0
+        states += [(x1, 0.0, 0.0), (math.nan, 0.5, 5.6), (math.inf, 0.5, 5.6)]
+        for state in states:
+            got, want = diode_voltage(*state, p), reference(*state)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        # w itself is the same there too: V_d = c - a*w alone would hide
+        # a wrong last digit of a w this small
+        below = [x for x in xs if x < -50.0] + [-math.inf]
+        assert [math.exp(x) for x in below] == list(wrightomega(below))
+
 
 class TestCircuit:
     def test_thermal_voltage(self):
