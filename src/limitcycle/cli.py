@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -474,6 +475,7 @@ def _add_run_options(sp, collocation=True):
     sp.add_argument("--out", help="output CSV path (default: stdout)")
 
 
+@functools.cache  # one build per process: parse_args keeps no state in it
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="limitcycle",

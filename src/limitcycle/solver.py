@@ -10,6 +10,7 @@ of float64, and every step is refined to float64 accuracy against it.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -131,12 +132,12 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray) -> SolveResult:
     # a non-finite F is reported just below, not warned about
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         F = rhs_stack(problem, X)
-    if not np.isfinite(F).all():
-        # the tolerance below, and every norm comparison, would be inf or nan
+    scale = float(np.abs(F).max())  # nan and +-inf propagate through max
+    if not math.isfinite(scale):  # then tol and every norm would be as well
         node = int(np.flatnonzero(~np.isfinite(F))[0] % problem.grid.size)
         raise RhsEvaluationError(
             node, f"rhs is not finite at node index {node} of the initial state")
-    tol = 1e-10 * (1.0 + float(np.abs(F).max()))
+    tol = 1e-10 * (1.0 + scale)
 
     R = residual(problem, X, F)
     norm = float(np.abs(R).max())

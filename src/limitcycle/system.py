@@ -260,7 +260,9 @@ def residual(problem: CollocationProblem, X: np.ndarray,
         F = rhs_stack(problem, X)
     m, N = problem.system.dim, problem.grid.size
     table = unflatten(X, m, N)
-    R = problem.omega_eff * apply_derivative(problem.D, table) - unflatten(F, m, N)
+    # apply_derivative's arithmetic, without its shape check: unflatten's holds
+    R = problem.omega_eff * _times_dt(problem.D, table - table[:, :1])
+    R -= unflatten(F, m, N)
     return R.reshape(-1)
 
 

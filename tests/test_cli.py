@@ -1,5 +1,8 @@
 import dataclasses
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -757,3 +760,38 @@ class TestConfigFile:
         ]:
             assert main(["solve", "--config", str(path)]) == 2, path
             assert named in _error_message(capsys), path
+
+
+class TestParserCache:
+    def test_cached_parser_carries_no_state_between_calls(self, tmp_path,
+                                                          capsys):
+        """``cli._build_parser`` is cached: every ``main`` call in a process
+        parses with the one parser, so a run must leave nothing in it for
+        the next. Its subcommands stay bound to the ``cmd_*`` functions of
+        the first build; nothing in tests/ or perfbench/ monkeypatches a
+        ``cmd_*`` function, which would not reach the cached parser."""
+        assert cli._build_parser() is cli._build_parser()
+        assert main(["matrix", "--N", "5",
+                     "--out", str(tmp_path / "D.csv")]) == 0
+        # an argparse error after a --param: sweep lacks its --sweep
+        assert main(["sweep", "--model", "pendulum", "--N", "21",
+                     "--param", "a=0.3"]) == 2
+        assert main(["--help"]) == 0
+        assert main(["sweep", "--model", "pendulum", "--N", "21",
+                     "--param", "a=0.2", "omega=17.5", "--guess", "pi",
+                     "--sweep", "b=0:2:1",
+                     "--out", str(tmp_path / "branch.csv")]) == 0
+        capsys.readouterr()
+
+        argv = ["solve", "--model", "pendulum", "--N", "21", "--guess", "pi"]
+        here, fresh = tmp_path / "here.csv", tmp_path / "fresh.csv"
+        assert main(argv + ["--out", str(here)]) == 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parents[1] / "src"),
+            env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-m", "limitcycle.cli", *argv,
+                        "--out", str(fresh)], env=env, check=True,
+                       capture_output=True, timeout=120)
+        assert here.read_bytes() == fresh.read_bytes()
+        assert _read(here)[0]["param.a"] == "%.17g" % PendulumParams().a

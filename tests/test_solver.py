@@ -202,6 +202,24 @@ class TestFailedTrials:
             newton_solve(prob, np.zeros(11))
         assert prob.grid.nodes[info.value.node] > 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_nan_or_negative_inf_in_second_component_names_its_node(self, bad):
+        # one max over |F| finds every non-finite kind: nan propagates
+        # through it, and -inf turns into inf
+        node = 7
+
+        def rhs(x, t, p):
+            return np.array([-x[0], bad if t == nodes[node] else -x[1]])
+
+        prob = CollocationProblem.build(
+            PeriodicSystem(dim=2, rhs=rhs, omega=1.0), 11)
+        nodes = prob.grid.nodes
+        with pytest.raises(RhsEvaluationError) as info:
+            newton_solve(prob, np.zeros(22))
+        assert info.value.node == node
+        assert str(info.value) == (
+            f"rhs is not finite at node index {node} of the initial state")
+
 
 @pytest.mark.parametrize("subharmonic", [1, 2])
 def test_initial_norm_is_the_residual_at_the_guess(subharmonic,
