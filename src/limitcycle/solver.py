@@ -21,6 +21,7 @@ from scipy.linalg.lapack import dgetrs, sgetrs
 from .system import (
     CollocationProblem,
     RhsEvaluationError,
+    _elimination,
     jacobian,
     jacobian_blocks,
     jacobian_product,
@@ -67,15 +68,22 @@ class SolveResult:
     factorizations: int = 0
 
 
-def _getrs(factor, b: np.ndarray) -> np.ndarray:
-    """x with LU x = b for ``factor`` from lu_factor, in float64.  A float32
-    factor solves for b / max|b|, which keeps any b in float32's range."""
-    lu, piv = factor
-    # LAPACK directly: lu_solve's checks cost as much on the small grids
-    if lu.dtype == np.float64:
-        return dgetrs(lu, piv, b)[0]
-    scale = float(np.max(np.abs(b))) or 1.0
-    return scale * sgetrs(lu, piv, (b / scale).astype(np.float32))[0].astype(float)
+def _getrs(factor, b: np.ndarray, direct: bool = False) -> np.ndarray:
+    """x with J x = b in float64, for ``factor`` the LU of J, or of its Schur
+    complement with the elimination that reduces b and recovers x.  A
+    float32 factor solves for b / max|b|, which keeps any b in float32's
+    range; ``direct`` solves through lu_solve."""
+    lu, piv, plan = factor
+    c = b if plan is None else plan.reduce(b)
+    if direct:
+        y = lu_solve((lu, piv), c, check_finite=False)
+    elif lu.dtype == np.float64:
+        # LAPACK directly: lu_solve's checks cost as much on the small grids
+        y = dgetrs(lu, piv, c)[0]
+    else:
+        scale = float(np.max(np.abs(c))) or 1.0
+        y = scale * sgetrs(lu, piv, (c / scale).astype(np.float32))[0].astype(float)
+    return y if plan is None else plan.recover(b, y)
 
 
 def _refined_step(problem: CollocationProblem, blocks: np.ndarray,
@@ -118,10 +126,14 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray) -> SolveResult:
 
     Each iteration refines its step against the kept LU while that
     converges cheaply (see ``_refined_step``), and factors J afresh
-    otherwise.  From ``_SINGLE_PRECISION_SIZE`` unknowns on, the fresh J
-    is assembled and factored in float32 and its step refined with float64
+    otherwise: the (m-1)N Schur complement left by eliminating one unknown
+    through a row of J that is equal at every node (``_elimination``), or
+    J itself when there is none.  A float64 step solved with the Schur
+    complement gets one refinement sweep against J.  From
+    ``_SINGLE_PRECISION_SIZE`` unknowns mN on, the fresh matrix is
+    assembled and factored in float32 and its step refined with float64
     residuals; when that refinement gives up, or a float32 pivot is
-    negligible, J is factored again in float64.  ``factorizations``
+    negligible, it is factored again in float64.  ``factorizations``
     counts every LU, the float64 one of such a fallback included.
     """
     X = np.asarray(X0, dtype=float).copy()
@@ -153,20 +165,26 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray) -> SolveResult:
         delta = None if factor is None else _refined_step(problem, blocks, factor, -R)
         if delta is None:
             large = problem.size >= _SINGLE_PRECISION_SIZE
+            plan = _elimination(problem, blocks)
             for dtype in (np.float32, np.float64) if large else (np.float64,):
-                J = jacobian(problem, X, blocks=blocks, dtype=dtype)
+                J = jacobian(problem, X, blocks=blocks, dtype=dtype, plan=plan)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", LinAlgWarning)
                     # J is Fortran-ordered and not used again: factor in place
-                    factor = lu_factor(J, overwrite_a=True, check_finite=False)
+                    factor = (*lu_factor(J, overwrite_a=True, check_finite=False),
+                              plan)
                 factorizations += 1
-                # rank deficiency surfaces as a pivot on the U diagonal that
-                # is negligible at the factor's own precision
+                # rank deficiency of J, exactly when of S, surfaces as a pivot
+                # on the U diagonal negligible for mN at the factor's precision
                 pivots = np.abs(np.diag(factor[0]))
-                if pivots.min() > J.shape[0] * np.finfo(dtype).eps * pivots.max():
-                    delta = (lu_solve(factor, -R, check_finite=False)
+                if pivots.min() > problem.size * np.finfo(dtype).eps * pivots.max():
+                    delta = (_getrs(factor, -R, direct=True)
                              if dtype is np.float64 else
                              _refined_step(problem, blocks, factor, -R))
+                    if plan is not None and dtype is np.float64:
+                        # S's cond can exceed J's: one sweep against J
+                        delta += _getrs(factor, -R - jacobian_product(
+                            problem, blocks, delta), direct=True)
                 if delta is not None:
                     break
             if delta is None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import circulant
 from scipy.linalg.blas import dgemm, dgemv
 
 __all__ = [
@@ -142,6 +143,30 @@ def _times_dt(D: DiffMatrix, y: np.ndarray) -> np.ndarray:
     if len(y) == 1:
         return dgemv(1.0, D.entries.T, y[0], trans=1)[None]
     return dgemm(1.0, D.entries.T, y.T, trans_a=1).T
+
+
+def _shifted_inverse(N: int, omega: float, c: float) -> np.ndarray:
+    """(omega * D - c * I)^-1, c != 0, Fortran-ordered as J: D is circulant
+    with eigenvalues i*kappa (kappa = 0, 1, ..., -1 in numpy.fft order), so
+    this is the circulant with eigenvalues 1 / (i*omega*kappa - c), the
+    transpose of the one with their conjugates."""
+    kappa = np.fft.ifftshift(np.arange(-(N // 2), N // 2 + 1))
+    return circulant(np.fft.ifft(1.0 / (-1j * omega * kappa - c)).real).T
+
+
+@lru_cache(maxsize=4)
+def _second_derivative(N: int) -> np.ndarray:
+    """D @ D in closed form, -(-1)**d cos(a) / (2 sin(a)**2) with a = pi d / N
+    for d = j - k reduced to |d| <= (N-1)/2, and -(N**2 - 1) / 12 on the
+    diagonal: entrywise accurate, where an inverse FFT of -kappa**2 is not."""
+    d = np.arange(N)
+    d = (d[:, None] - d[None, :] + N // 2) % N - N // 2
+    angle = d * (np.pi / N)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entries = np.where(d % 2 == 0, -0.5, 0.5) * np.cos(angle) / np.sin(angle) ** 2
+    np.fill_diagonal(entries, -(N * N - 1) / 12.0)
+    entries.setflags(write=False)
+    return entries
 
 
 def _cardinal(N: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -29,7 +29,10 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .spectral import (DiffMatrix, NodeGrid, _times_dt, apply_derivative,
+from scipy.linalg.blas import dgemv
+
+from .spectral import (DiffMatrix, NodeGrid, _second_derivative,
+                       _shifted_inverse, _times_dt, apply_derivative,
                        diff_matrix_equispaced)
 
 __all__ = [
@@ -307,13 +310,74 @@ def jacobian_blocks(problem: CollocationProblem, X: np.ndarray, *,
     return blocks
 
 
+class _Elimination:
+    """x_u eliminated through row k of J, whose node blocks are equal at
+    every node (c): J x = b is x = recover(b, S^-1 reduce(b)), S_ri = J_ri
+    - J_ru Pi^-1 J_ki (r != k, i != u) being the Schur complement of the
+    pivot block Pi = J_ku, and J_ki = omega_eff D [i == k] - c_i I."""
+
+    def __init__(self, problem: CollocationProblem, blocks: np.ndarray, k: int, u: int):
+        m, N = problem.system.dim, problem.grid.size
+        self.k, self.u, self.c = k, u, blocks[0, k].copy()
+        self.rows = [r for r in range(m) if r != k]
+        self.cols = [i for i in range(m) if i != u]
+        self.coupling = blocks[:, self.rows, u].T.copy()  # d f_r / d x_u
+        self.omega, self.D = problem.omega_eff, problem.D
+        self.inverse = (-1.0 / self.c[u] if u != k  # Pi^-1
+                        else _shifted_inverse(N, self.omega, self.c[k]))
+
+    def _pivot_solve(self, v: np.ndarray) -> np.ndarray:
+        # on scipy's BLAS, as spectral._times_dt
+        return self.inverse * v if self.u != self.k else dgemv(
+            1.0, self.inverse, v)
+
+    def reduce(self, b: np.ndarray) -> np.ndarray:
+        """The rows r != k of b - J[:, u] Pi^-1 b_k."""
+        N, k = self.D.grid.size, self.k
+        y = self._pivot_solve(b[k * N:(k + 1) * N])
+        out = b.reshape(-1, N)[self.rows] + self.coupling * y
+        if self.u != k:  # J_uu holds omega_eff * D as well
+            a = self.rows.index(self.u)
+            out[a] = dgemv(-self.omega, self.D.entries.T, y, 1.0, out[a], trans=1)
+        return out.reshape(-1)
+
+    def recover(self, b: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x from its components i != u, y: x_u = Pi^-1 (b_k - J_ki x_i)."""
+        N, k, u = self.D.grid.size, self.k, self.u
+        Y = y.reshape(-1, N)
+        rest = dgemv(1.0, Y.T, self.c[self.cols], 1.0, b[k * N:(k + 1) * N])
+        if u != k:
+            rest = dgemv(-self.omega, self.D.entries.T, Y[self.cols.index(k)],
+                         1.0, rest, trans=1, overwrite_y=1)
+        return np.concatenate((y[:u * N], self._pivot_solve(rest), y[u * N:]))
+
+
+def _elimination(problem: CollocationProblem,
+                 blocks: np.ndarray) -> _Elimination | None:
+    """The elimination through the first row whose node blocks are bitwise
+    equal at every node and not all zero; None for m = 1.  u = k when c_kk
+    != 0, so that |Pi's symbol| >= |c_kk| and S keeps J's pivot ratio;
+    else u is the j with the largest |c_kj|."""
+    if problem.system.dim > 1:
+        for k in np.flatnonzero((blocks == blocks[:1]).all(axis=(0, 2))):
+            c = blocks[0, k]
+            u = k if c[k] != 0 else np.argmax(np.abs(c))
+            if c[u] != 0:
+                return _Elimination(problem, blocks, int(k), int(u))
+    return None
+
+
 def jacobian(problem: CollocationProblem, X: np.ndarray, *, force_fd: bool = False,
-             blocks: np.ndarray | None = None, dtype=float) -> np.ndarray:
-    """Dense Jacobian J = omega_eff * (I_m kron D) - P of the residual.
+             blocks: np.ndarray | None = None, dtype=float,
+             plan: _Elimination | None = None) -> np.ndarray:
+    """Dense Jacobian J = omega_eff * (I_m kron D) - P of the residual, or
+    with ``plan``, an ``_elimination`` of the same blocks, its (m-1)N
+    Schur complement S, whose extra terms are circulants row-scaled by
+    d f_r / d x_u.
 
     P consists of m x m blocks of N x N diagonal matrices; block (k, k')
     carries d f_k / d x_k' at each node: ``blocks`` if given, else
-    ``jacobian_blocks(problem, X, force_fd=force_fd)``.  J is
+    ``jacobian_blocks(problem, X, force_fd=force_fd)``.  The matrix is
     Fortran-ordered, so that LAPACK can factor it in place, and assembled
     directly in ``dtype`` (float32 for a single-precision LU), with no
     float64 copy beside it.
@@ -321,13 +385,30 @@ def jacobian(problem: CollocationProblem, X: np.ndarray, *, force_fd: bool = Fal
     if blocks is None:
         blocks = jacobian_blocks(problem, X, force_fd=force_fd)
     m, N = problem.system.dim, problem.grid.size
-    J = np.zeros((m * N, m * N), dtype=dtype, order="F")
+    rows, cols = (range(m),) * 2 if plan is None else (plan.rows, plan.cols)
+    J = np.zeros((len(rows) * N, len(cols) * N), dtype=dtype, order="F")
     # J4[k, i, k', j] is the entry of row k*N + i and column k'*N + j
-    J4 = J.reshape(m, N, m, N)
-    diag = np.arange(m)
-    J4[diag, :, diag, :] = problem.omega_eff * problem.D.entries
+    J4 = J.reshape(len(rows), N, len(cols), N)
+    wD = problem.omega_eff * problem.D.entries
+    for a, r in enumerate(rows):
+        if r in cols:
+            J4[a, :, cols.index(r), :] = wD
     nodes = np.arange(N)
-    J4[:, nodes, :, nodes] -= blocks
+    J4[:, nodes, :, nodes] -= blocks[:, rows][:, :, cols]
+    for b, i in enumerate(cols if plan is not None else ()):
+        # S_ri -= J_ru T, T = Pi^-1 J_ki, J_ru = -diag(coupling_r) (+ wD if r = u)
+        if i != plan.k and plan.c[i] == 0:
+            continue  # J_ki = 0
+        if plan.u == plan.k:  # then i != k
+            T = -plan.c[i] * plan.inverse
+        else:
+            T = plan.inverse * (wD if i == plan.k else -plan.c[i] * np.eye(N))
+            J4[rows.index(plan.u), :, b, :] -= plan.inverse * (
+                problem.omega_eff ** 2 * _second_derivative(N)
+                if i == plan.k else -plan.c[i] * wD)
+        for a, coupling in enumerate(plan.coupling):
+            if coupling.any():
+                J4[a, :, b, :] += coupling[:, None] * T
     return J
 
 

@@ -276,7 +276,10 @@ class TestSolve:
          "transient diverged (non-finite state) at step 5310"),
         (["solve", "--N", "11", "--param", "a=-100", "--guess", "rk4:30"],
          "transient diverged (non-finite state) at step 51850"),
-        (["solve", "--N", "11", "--param", "b=1e300", "--guess", "rk4:2"],
+        # resonant: the constant state where cos(theta - pi) = -omega**2,
+        # so omega * D - P is singular at the first harmonic
+        (["solve", "--N", "11", "--param", "a=0", "b=0", "omega=0.5",
+          "--guess", "constant:1.3181160716528177"],
          "Jacobian numerically singular at Newton iteration 1"),
         # a stage state reaches inf and the rhs takes math.sin of it
         (["simulate", "--param", "a=-10", "--initial", "0,1e308",
@@ -293,6 +296,16 @@ class TestSolve:
         err = capsys.readouterr().err
         assert rc == 1
         assert err == f"error: {named}\n"
+        assert "Traceback" not in err
+
+    def test_badly_scaled_jacobian_exits_1_without_traceback(self, capsys):
+        # J's entries reach 1e300 but it is not singular: no step from the
+        # rk4 guess lowers the residual, so the solve is not converged
+        rc = main(["solve", "--N", "11", "--model", "pendulum",
+                   "--param", "b=1e300", "--guess", "rk4:2"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.endswith("converged=False\n")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("model,param,named", [

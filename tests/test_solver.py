@@ -1,9 +1,11 @@
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 from limitcycle import solver
 from limitcycle.continuation import SweepConfig, sweep
@@ -19,8 +21,10 @@ from limitcycle.system import (
     CollocationProblem,
     PeriodicSystem,
     RhsEvaluationError,
+    _elimination,
     flatten,
     jacobian,
+    jacobian_blocks,
     residual,
     rhs_stack,
 )
@@ -420,3 +424,150 @@ class TestNonFiniteJacobian:
         assert [p for p, _ in br.points] == [1.0, 0.5, 0.25, -0.25, -0.75,
                                              -1.0]
         assert br.status == "completed"
+
+
+def _coupled_row_system(diagonal, wobble=0.0):
+    # m = 3 with a first row that couples both other components,
+    # x1' = g(t) * (diagonal*x1 + 0.5*x2 - 2*x3) + cos t with g = 1 +
+    # wobble*cos t, and two rows that vary by node.  Without wobble the
+    # first row is constant; diagonal = 0 then eliminates x3, the
+    # largest coefficient, instead of x1
+    def rhs(x, t, p):
+        g = 1.0 + wobble * math.cos(t)
+        return (g * (diagonal * x[0] + 0.5 * x[1] - 2.0 * x[2]) + math.cos(t),
+                -math.sin(x[1]) + 0.2 * x[0] * x[2],
+                -x[2] - 0.1 * x[2] ** 3 + x[0] + 0.3 * math.sin(t))
+
+    def jac(table, t, p):
+        x1, x2, x3 = table
+        blocks = np.zeros((t.size, 3, 3))
+        blocks[:, 0] = np.multiply.outer(1.0 + wobble * np.cos(t),
+                                         [diagonal, 0.5, -2.0])
+        blocks[:, 1, 0] = 0.2 * x3
+        blocks[:, 1, 1] = -np.cos(x2)
+        blocks[:, 1, 2] = 0.2 * x1
+        blocks[:, 2, 0] = 1.0
+        blocks[:, 2, 2] = -1.0 - 0.3 * x3 ** 2
+        return blocks
+
+    return PeriodicSystem(dim=3, rhs=rhs, jac=jac, omega=1.3)
+
+
+@pytest.fixture
+def factor_sizes(monkeypatch):
+    """The order of every matrix newton_solve factors, in order."""
+    sizes = []
+    lu_factor = solver.lu_factor
+
+    def recording(a, **kwargs):
+        sizes.append(a.shape[0])
+        return lu_factor(a, **kwargs)
+
+    monkeypatch.setattr(solver, "lu_factor", recording)
+    return sizes
+
+
+def _first_step(problem, X0):
+    """newton_solve's first step from X0: its first line-search trial
+    point is X0 + delta."""
+    trials = []
+    residual_at = solver.residual
+
+    def recording(problem, X, F=None):
+        trials.append(X.copy())
+        return residual_at(problem, X, F)
+
+    with mock.patch.object(solver, "residual", recording), \
+            mock.patch.object(solver, "_MAX_ITERATIONS", 1):
+        newton_solve(problem, X0)
+    return trials[1] - X0  # trials[0] is the residual at X0
+
+
+_ELIMINATED = {
+    # name: (problem, X0, (k, u), factored order)
+    "circuit-51": lambda: _case(circuit_system(CircuitParams()), 51),
+    "circuit-251": lambda: _case(circuit_system(CircuitParams()), 251),
+    "circuit-fd-101": lambda: _case(dataclasses.replace(
+        circuit_system(CircuitParams()), jac=None), 101),
+    "period-two": lambda: _case(
+        pendulum_system(PendulumParams(a=0.1, b=181.0, omega=17.5),
+                        subharmonic=2), 101,
+        guess_near_pi(101, 0.8, 1, 17.5, 2)),
+    "coupled-row-u=k": lambda: _case(_coupled_row_system(-1.0), 41),
+    "coupled-row-u!=k": lambda: _case(_coupled_row_system(0.0), 41),
+}
+
+
+def _case(system, N, X0=None):
+    problem = CollocationProblem.build(system, N)
+    return problem, np.zeros(problem.size) if X0 is None else X0
+
+
+class TestSchurComplement:
+    @pytest.mark.parametrize("name, plan", [
+        ("circuit-51", (1, 1)), ("circuit-251", (1, 1)),
+        ("circuit-fd-101", (1, 1)), ("period-two", (0, 1)),
+        ("coupled-row-u=k", (0, 0)), ("coupled-row-u!=k", (0, 2))])
+    @pytest.mark.parametrize("single", [False, True],
+                             ids=["float64", "float32"])
+    def test_step_matches_a_fresh_full_lu(self, name, plan, single,
+                                          monkeypatch, factor_sizes,
+                                          factor_dtypes):
+        # the row whose blocks are equal at every node is eliminated, and
+        # the step equals one solved with the LU of the whole J
+        problem, X0 = _ELIMINATED[name]()
+        m, N = problem.system.dim, problem.grid.size
+        elimination = _elimination(problem, jacobian_blocks(problem, X0))
+        assert (elimination.k, elimination.u) == plan
+        monkeypatch.setattr(solver, "_SINGLE_PRECISION_SIZE",
+                            0 if single else 10**9)
+        delta = _first_step(problem, X0)
+        want = lu_solve(lu_factor(jacobian(problem, X0)),
+                        -residual(problem, X0))
+        np.testing.assert_allclose(delta, want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
+        assert factor_sizes == [(m - 1) * N]
+        assert factor_dtypes == [np.float32 if single else np.float64]
+
+    @pytest.mark.parametrize("name", ["circuit-fd-101", "period-two",
+                                      "coupled-row-u=k", "coupled-row-u!=k"])
+    def test_solve_matches_fresh_factorizations(self, name, factor_sizes):
+        problem, X0 = _ELIMINATED[name]()
+        r = _assert_matches_fresh_lu(problem, X0)
+        assert r.converged
+        assert set(factor_sizes) == {problem.size - problem.grid.size}
+
+    @pytest.mark.parametrize("system", [
+        linear_system(1.0), _coupled_row_system(-1.0, wobble=0.1)],
+        ids=["linear", "every-row-varies"])
+    def test_full_jacobian_without_a_constant_row(self, system,
+                                                  factor_sizes):
+        # the scalar model has nothing to eliminate into, and a row scaled
+        # by a phase-dependent factor is not constant
+        problem = CollocationProblem.build(system, 21)
+        # rows of the coupled system's x2 and x3 are constant on constants
+        X0 = np.tile(0.5 * np.sin(problem.grid.nodes), system.dim)
+        assert _elimination(problem, jacobian_blocks(problem, X0)) is None
+        assert newton_solve(problem, X0).converged
+        assert factor_sizes and set(factor_sizes) == {problem.size}
+
+    @pytest.mark.parametrize("N", [11, 101, 151, 251])
+    def test_singular_schur_complement_raises(self, N, factor_sizes,
+                                              factor_dtypes):
+        # x'' + x = cos t at omega = 1: both rows are constant, and S =
+        # I + D^2 is singular at kappa = +-1, as J is.  S's pivot there is
+        # about 1e-14 of its largest, near n * eps for n = N: the test is
+        # made at J's size mN
+        system = PeriodicSystem(
+            dim=2, rhs=lambda x, t, p: (x[1], -x[0] + math.cos(t)),
+            jac=lambda table, t, p: np.broadcast_to(
+                np.array([[0.0, 1.0], [-1.0, 0.0]]), (t.size, 2, 2)),
+            omega=1.0)
+        problem = CollocationProblem.build(system, N)
+        with pytest.raises(SingularJacobianError) as info:
+            newton_solve(problem, np.zeros(problem.size))
+        assert info.value.iteration == 1
+        large = problem.size >= solver._SINGLE_PRECISION_SIZE
+        assert factor_dtypes == ([np.float32, np.float64] if large
+                                 else [np.float64])
+        assert set(factor_sizes) == {N}

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from limitcycle.spectral import (
     NodeGrid,
+    _second_derivative,
+    _shifted_inverse,
     _times_dt,
     apply_derivative,
     diff_matrix_equispaced,
@@ -84,6 +86,24 @@ class TestEquispacedMatrix:
         assert not second.flags.writeable
         with pytest.raises(ValueError):
             second[0, 1] = 0.0
+
+    @pytest.mark.parametrize("N", [3, 7, 21, 101])
+    @pytest.mark.parametrize("omega, c", [(1.0, -1.0), (17.5, 0.3)])
+    def test_shifted_inverse(self, N, omega, c):
+        D = diff_matrix_equispaced(N).entries
+        inverse = _shifted_inverse(N, omega, c)
+        assert inverse.flags.f_contiguous
+        np.testing.assert_allclose(inverse @ (omega * D - c * np.eye(N)),
+                                   np.eye(N), rtol=0, atol=1e-13 * N)
+
+    @pytest.mark.parametrize("N", [3, 7, 21, 101])
+    def test_second_derivative_is_d_squared(self, N):
+        D = diff_matrix_equispaced(N).entries
+        D2 = _second_derivative(N)
+        assert np.array_equal(D2, D2.T)
+        assert not D2.flags.writeable
+        np.testing.assert_allclose(D2, D @ D, rtol=0,
+                                   atol=1e-14 * N * np.abs(D2).max())
 
 
 class TestGeneralMatrix:

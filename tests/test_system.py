@@ -20,6 +20,7 @@ from limitcycle.system import (
     CollocationProblem,
     PeriodicSystem,
     RhsEvaluationError,
+    _elimination,
     flatten,
     jacobian,
     jacobian_blocks,
@@ -241,6 +242,44 @@ class TestJacobianProduct:
                       <= 1e-12 * np.max(np.abs(want), axis=1))
         if system.dim == 3:
             assert prob.jump_nodes.size
+
+
+class TestSchurComplement:
+    @pytest.mark.parametrize("system, plan", [
+        (circuit_system(CircuitParams()), (1, 1)),
+        (pendulum_system(PendulumParams(a=0.1, b=181.0, omega=17.5),
+                         subharmonic=2), (0, 1)),
+    ], ids=["circuit", "pendulum"])
+    def test_matches_the_dense_elimination(self, system, plan):
+        # S = J[r != k, i != u] - J[r != k, u] Pi^-1 J[k, i != u], and
+        # reduce, a solve with S and recover solve J x = b
+        N = 31
+        prob = CollocationProblem.build(system, N)
+        rng = np.random.default_rng(7)
+        X = rng.uniform(-2, 2, prob.size)
+        blocks = jacobian_blocks(prob, X)
+        elimination = _elimination(prob, blocks)
+        k, u = plan
+        assert (elimination.k, elimination.u) == plan
+        J = jacobian(prob, X, blocks=blocks)
+        m = system.dim
+        rows = [r for r in range(m) if r != k]
+        cols = [i for i in range(m) if i != u]
+
+        def part(rs, cs):
+            J4 = J.reshape(m, N, m, N)[rs][:, :, cs]
+            return J4.reshape(len(rs) * N, len(cs) * N)
+
+        want = part(rows, cols) - part(rows, [u]) @ np.linalg.solve(
+            part([k], [u]), part([k], cols))
+        S = jacobian(prob, X, blocks=blocks, plan=elimination)
+        assert S.flags.f_contiguous
+        np.testing.assert_allclose(S, want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
+        b = rng.standard_normal(prob.size)
+        x = elimination.recover(b, np.linalg.solve(S, elimination.reduce(b)))
+        np.testing.assert_allclose(x, np.linalg.solve(J, b), rtol=0,
+                                   atol=1e-10 * np.max(np.abs(x)))
 
 
 class TestNodeDerivatives:
