@@ -262,7 +262,7 @@ def _read_solution(path: str):
 def _initial_guess(cfg: RunConfig, system, problem) -> np.ndarray:
     kind, _, rest = cfg.guess.partition(":")
     m, N = system.dim, cfg.N
-    if kind in ("constant", "pi"):
+    if kind == "constant" or cfg.guess == "pi":
         table = np.zeros((m, N))
         if kind == "pi":
             table[0] = np.pi

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor
 from scipy.linalg.lapack import dgetrs, sgetrs
 
 from .system import (
@@ -68,17 +68,14 @@ class SolveResult:
     factorizations: int = 0
 
 
-def _getrs(factor, b: np.ndarray, direct: bool = False) -> np.ndarray:
+def lu_solve(factor, b: np.ndarray) -> np.ndarray:
     """x with J x = b in float64, for ``factor`` the LU of J, or of its Schur
     complement with the elimination that reduces b and recovers x.  A
     float32 factor solves for b / max|b|, which keeps any b in float32's
-    range; ``direct`` solves through lu_solve."""
+    range."""
     lu, piv, plan = factor
     c = b if plan is None else plan.reduce(b)
-    if direct:
-        y = lu_solve((lu, piv), c, check_finite=False)
-    elif lu.dtype == np.float64:
-        # LAPACK directly: lu_solve's checks cost as much on the small grids
+    if lu.dtype == np.float64:
         y = dgetrs(lu, piv, c)[0]
     else:
         scale = float(np.max(np.abs(c))) or 1.0
@@ -95,10 +92,10 @@ def _refined_step(problem: CollocationProblem, blocks: np.ndarray,
     budget = problem.size // 25  # sweeps that cost about one LU
     if budget == 0:
         return None
-    x = _getrs(factor, b)
+    x = lu_solve(factor, b)
     last = float(np.max(np.abs(x)))
     for sweep in range(budget):
-        dx = _getrs(factor, b - jacobian_product(problem, blocks, x))
+        dx = lu_solve(factor, b - jacobian_product(problem, blocks, x))
         x += dx
         size = float(np.max(np.abs(dx)))
         if size <= _REFINE_FLOOR * np.max(np.abs(x)):
@@ -178,13 +175,12 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray) -> SolveResult:
                 # on the U diagonal negligible for mN at the factor's precision
                 pivots = np.abs(np.diag(factor[0]))
                 if pivots.min() > problem.size * np.finfo(dtype).eps * pivots.max():
-                    delta = (_getrs(factor, -R, direct=True)
-                             if dtype is np.float64 else
+                    delta = (lu_solve(factor, -R) if dtype is np.float64 else
                              _refined_step(problem, blocks, factor, -R))
                     if plan is not None and dtype is np.float64:
                         # S's cond can exceed J's: one sweep against J
-                        delta += _getrs(factor, -R - jacobian_product(
-                            problem, blocks, delta), direct=True)
+                        delta += lu_solve(factor, -R - jacobian_product(
+                            problem, blocks, delta))
                 if delta is not None:
                     break
             if delta is None:

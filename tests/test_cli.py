@@ -208,6 +208,9 @@ class TestSolve:
             (["--model", "linear"], "no node count given"),
             (["--model", "linear", "--N", "3", "--guess", "bogus:1"],
              "unknown guess descriptor 'bogus:1'"),
+            # pi takes no argument
+            (["--model", "pendulum", "--N", "11", "--guess", "pi:garbage"],
+             "unknown guess descriptor 'pi:garbage'"),
             (["--N", "3"], "no model given"),
             (["--model", "linear", "--N", "3", "--subharmonic", "0"],
              "subharmonic order must be a positive integer, got 0"),

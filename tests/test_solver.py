@@ -306,15 +306,18 @@ class TestKeptFactorization:
     def test_no_refinement_solve_without_a_sweep_budget(self, monkeypatch,
                                                        N, refines):
         # mN = 21 < 25 leaves a budget of 0 sweeps: the kept LU is not
-        # tried at all; at mN = 27 it is tried and given up on
-        calls = []
-        dgetrs = solver.dgetrs
-        monkeypatch.setattr(solver, "dgetrs",
-                            lambda *args: calls.append(1) or dgetrs(*args))
+        # tried at all; at mN = 27 it is tried and given up on.  Each
+        # fresh factorization solves twice, the step and its polish
+        # against J; any further solve is a refinement sweep
         prob = CollocationProblem.build(circuit_system(CircuitParams()), N)
-        r = _assert_matches_fresh_lu(prob, np.zeros(prob.size))
+        _assert_matches_fresh_lu(prob, np.zeros(prob.size))
+        calls = []
+        lu_solve = solver.lu_solve
+        monkeypatch.setattr(solver, "lu_solve",
+                            lambda *args: calls.append(1) or lu_solve(*args))
+        r = newton_solve(prob, np.zeros(prob.size))
         assert r.factorizations == r.iterations == 3
-        assert bool(calls) == refines
+        assert (len(calls) > 2 * r.factorizations) == refines
 
     def test_finite_difference_blocks_refine(self):
         system = dataclasses.replace(circuit_system(CircuitParams()),
@@ -391,6 +394,35 @@ class TestSinglePrecisionFactor:
         assert r.converged
         assert factor_dtypes == [np.float32, np.float64] * r.iterations
         assert r.factorizations == len(factor_dtypes)
+
+
+@pytest.fixture
+def solve_counts(monkeypatch):
+    """Calls of solver.lu_solve and of the LAPACK solves under it."""
+    counts = dict.fromkeys(("lu_solve", "dgetrs", "sgetrs"), 0)
+    for name in counts:
+        def counting(*args, _fn=getattr(solver, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(solver, name, counting)
+    return counts
+
+
+class TestOneSolveRoutine:
+    # every triangular solve goes through solver.lu_solve, the name a
+    # tracer wraps: the LAPACK counts add up to its count
+    @pytest.mark.parametrize("N", [101, 251, 501])
+    def test_circuit_solves_on_float32_factors(self, solve_counts, N):
+        prob = CollocationProblem.build(circuit_system(CircuitParams()), N)
+        assert newton_solve(prob, np.zeros(prob.size)).converged
+        assert solve_counts == {"lu_solve": 22, "dgetrs": 0, "sgetrs": 22}
+
+    def test_period_two_seed_solves_on_float64_factors(self, solve_counts):
+        prob = CollocationProblem.build(
+            pendulum_system(PendulumParams(a=0.1, b=181.0, omega=17.5),
+                            subharmonic=2), 101)
+        assert newton_solve(prob, guess_near_pi(101, 0.8, 1, 17.5, 2)).converged
+        assert solve_counts == {"lu_solve": 28, "dgetrs": 28, "sgetrs": 0}
 
 
 def _infinite_jacobian_family(p):
