@@ -401,7 +401,8 @@ def cmd_sweep(args) -> int:
     _write_csv(cfg.out, _header_lines(cfg, params, system, extra=extra),
                ["parameter", "component", "max", "min", "iterations",
                 "converged"], columns)
-    print(f"{len(branch.points)} point(s), status={branch.status}",
+    why = f" ({branch.reason})" if branch.reason else ""
+    print(f"{len(branch.points)} point(s), status={branch.status}{why}",
           file=sys.stderr)
     return 0
 

@@ -72,13 +72,25 @@ class Branch:
     """Converged points of one sweep, in march order.
 
     ``status`` is "completed" when the sweep reached ``end`` and
-    "truncated" when it stopped early: the step shrank to its floor, or
-    a step too small to move the parameter was tried.  Only converged
-    points are stored, so parameter values are strictly monotone.
+    "truncated" when it stopped early: the step shrank to its floor, a
+    step too small to move the parameter was tried, or a subharmonic
+    cycle collapsed to a shorter period, which ``reason`` then says.
+    Only converged points are stored, so parameter values are strictly
+    monotone.
     """
 
     points: tuple[tuple[float, SolveResult], ...]
     status: str = "completed"
+    reason: str = ""
+
+
+def _shorter_period(problem: CollocationProblem, X: np.ndarray) -> bool:
+    """Whether X, on a grid of s forcing periods, has a period of fewer:
+    its largest Fourier mode off the multiples of s, times 2/N, from one
+    rfft of the (m, N) table, is below 1e-6 (1 + max|X|)."""
+    m, N, s = problem.system.dim, problem.grid.size, problem.system.subharmonic
+    modes = np.fft.rfft(X.reshape(m, N), axis=1)[:, np.arange(N // 2 + 1) % s != 0]
+    return 2.0 / N * np.abs(modes).max(initial=0.0) < 1e-6 * (1.0 + np.abs(X).max())
 
 
 def sweep(
@@ -99,12 +111,16 @@ def sweep(
     shrink the step and, at its floor, truncate the branch instead.  A
     later value at which ``problem_family`` raises ValueError (the model
     rejects it), f is not finite at the guess or the Newton matrix is
-    singular counts as a failed solve.
+    singular counts as a failed solve.  A subharmonic branch whose seed
+    has a period of s forcing periods ends, truncated, at the last point
+    before one of a shorter period, which solves the grid as well.
     """
     p = float(cfg.start)
-    seed = newton_solve(problem_family(p), np.asarray(X0, dtype=float))
+    problem = problem_family(p)
+    seed = newton_solve(problem, np.asarray(X0, dtype=float))
     if not seed.converged:
         raise BranchSeedError(p)
+    watch = problem.system.subharmonic > 1 and not _shorter_period(problem, seed.X)
     points = [(p, seed)]
     X = seed.X
     X_prev = p_prev = None  # the secant's other end; None: guess X itself
@@ -127,6 +143,9 @@ def sweep(
         except (ValueError, RhsEvaluationError, SingularJacobianError):
             result = None
         if result is not None and result.converged:
+            if watch and _shorter_period(problem, result.X):
+                return Branch(tuple(points), "truncated",
+                              "collapsed to a shorter period")
             # a solve that took no iteration from X returns X again: no secant
             moved = result.iterations > 0 or guess is not X
             X_prev, p_prev = (X, p) if moved else (None, None)

@@ -11,12 +11,10 @@ of float64, and every step is refined to float64 accuracy against it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor
-from scipy.linalg.lapack import dgetrs, sgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs, sgetrf, sgetrs
 
 from .system import (
     CollocationProblem,
@@ -66,6 +64,15 @@ class SolveResult:
     tol: float
     step_history: tuple = ()
     factorizations: int = 0
+
+
+def lu_factor(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lu, piv) of the Fortran-ordered J, in place: LAPACK's ?getrf, as in
+    scipy's lu_factor, without its checks and batching."""
+    lu, piv, info = (dgetrf if J.dtype == np.float64 else sgetrf)(J, overwrite_a=1)
+    if info < 0:  # info > 0, an exactly zero pivot, is left to the pivot test
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    return lu, piv
 
 
 def lu_solve(factor, b: np.ndarray) -> np.ndarray:
@@ -165,11 +172,7 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray) -> SolveResult:
             plan = _elimination(problem, blocks)
             for dtype in (np.float32, np.float64) if large else (np.float64,):
                 J = jacobian(problem, X, blocks=blocks, dtype=dtype, plan=plan)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", LinAlgWarning)
-                    # J is Fortran-ordered and not used again: factor in place
-                    factor = (*lu_factor(J, overwrite_a=True, check_finite=False),
-                              plan)
+                factor = (*lu_factor(J), plan)  # in place: J is not used again
                 factorizations += 1
                 # rank deficiency of J, exactly when of S, surfaces as a pivot
                 # on the U diagonal negligible for mN at the factor's precision

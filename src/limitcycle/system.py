@@ -24,7 +24,7 @@ wholly on one side, which would bias the mean by O(1/N).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -325,6 +325,11 @@ class _Elimination:
         self.omega, self.D = problem.omega_eff, problem.D
         self.inverse = (-1.0 / self.c[u] if u != k  # Pi^-1
                         else _shifted_inverse(N, self.omega, self.c[k]))
+        # looked up on every call; u's row in S and k's column when u != k
+        self._kth, self._rows = slice(k * N, (k + 1) * N), np.array(self.rows)
+        self._c_cols = self.c[self.cols]
+        self._u_at, self._k_at = ((None, None) if u == k
+                                  else (self.rows.index(u), self.cols.index(k)))
 
     def _pivot_solve(self, v: np.ndarray) -> np.ndarray:
         # on scipy's BLAS, as spectral._times_dt
@@ -333,23 +338,25 @@ class _Elimination:
 
     def reduce(self, b: np.ndarray) -> np.ndarray:
         """The rows r != k of b - J[:, u] Pi^-1 b_k."""
-        N, k = self.D.grid.size, self.k
-        y = self._pivot_solve(b[k * N:(k + 1) * N])
-        out = b.reshape(-1, N)[self.rows] + self.coupling * y
-        if self.u != k:  # J_uu holds omega_eff * D as well
-            a = self.rows.index(self.u)
-            out[a] = dgemv(-self.omega, self.D.entries.T, y, 1.0, out[a], trans=1)
+        y = self._pivot_solve(b[self._kth])
+        out = b.reshape(len(self.c), -1)[self._rows] + self.coupling * y
+        if self._u_at is not None:  # J_uu holds omega_eff * D as well
+            dgemv(-self.omega, self.D.entries.T, y, 1.0, out[self._u_at],
+                  trans=1, overwrite_y=1)
         return out.reshape(-1)
 
     def recover(self, b: np.ndarray, y: np.ndarray) -> np.ndarray:
         """x from its components i != u, y: x_u = Pi^-1 (b_k - J_ki x_i)."""
-        N, k, u = self.D.grid.size, self.k, self.u
+        N, u = self.D.grid.size, self.u
         Y = y.reshape(-1, N)
-        rest = dgemv(1.0, Y.T, self.c[self.cols], 1.0, b[k * N:(k + 1) * N])
-        if u != k:
-            rest = dgemv(-self.omega, self.D.entries.T, Y[self.cols.index(k)],
+        rest = dgemv(1.0, Y.T, self._c_cols, 1.0, b[self._kth])
+        if self._k_at is not None:
+            rest = dgemv(-self.omega, self.D.entries.T, Y[self._k_at],
                          1.0, rest, trans=1, overwrite_y=1)
-        return np.concatenate((y[:u * N], self._pivot_solve(rest), y[u * N:]))
+        x = np.empty_like(b)
+        x[:u * N], x[(u + 1) * N:] = y[:u * N], y[u * N:]
+        x[u * N:(u + 1) * N] = self._pivot_solve(rest)
+        return x
 
 
 def _elimination(problem: CollocationProblem,
@@ -378,37 +385,49 @@ def jacobian(problem: CollocationProblem, X: np.ndarray, *, force_fd: bool = Fal
     P consists of m x m blocks of N x N diagonal matrices; block (k, k')
     carries d f_k / d x_k' at each node: ``blocks`` if given, else
     ``jacobian_blocks(problem, X, force_fd=force_fd)``.  The matrix is
-    Fortran-ordered, so that LAPACK can factor it in place, and assembled
-    directly in ``dtype`` (float32 for a single-precision LU), with no
-    float64 copy beside it.
+    Fortran-ordered, so that LAPACK can factor it in place, and written in
+    place in ``dtype`` (float32 for a single-precision LU) in its memory
+    order, each Schur term through one N x N float64 scratch.
     """
     if blocks is None:
         blocks = jacobian_blocks(problem, X, force_fd=force_fd)
     m, N = problem.system.dim, problem.grid.size
+    w, D, nodes = problem.omega_eff, problem.D.entries, np.arange(N)
     rows, cols = (range(m),) * 2 if plan is None else (plan.rows, plan.cols)
     J = np.zeros((len(rows) * N, len(cols) * N), dtype=dtype, order="F")
-    # J4[k, i, k', j] is the entry of row k*N + i and column k'*N + j
-    J4 = J.reshape(len(rows), N, len(cols), N)
-    wD = problem.omega_eff * problem.D.entries
-    for a, r in enumerate(rows):
-        if r in cols:
-            J4[a, :, cols.index(r), :] = wD
-    nodes = np.arange(N)
-    J4[:, nodes, :, nodes] -= blocks[:, rows][:, :, cols]
-    for b, i in enumerate(cols if plan is not None else ()):
-        # S_ri -= J_ru T, T = Pi^-1 J_ki, J_ru = -diag(coupling_r) (+ wD if r = u)
-        if i != plan.k and plan.c[i] == 0:
-            continue  # J_ki = 0
-        if plan.u == plan.k:  # then i != k
-            T = -plan.c[i] * plan.inverse
-        else:
-            T = plan.inverse * (wD if i == plan.k else -plan.c[i] * np.eye(N))
-            J4[rows.index(plan.u), :, b, :] -= plan.inverse * (
-                problem.omega_eff ** 2 * _second_derivative(N)
-                if i == plan.k else -plan.c[i] * wD)
-        for a, coupling in enumerate(plan.coupling):
-            if coupling.any():
-                J4[a, :, b, :] += coupling[:, None] * T
+    # JT[b, j, a, i] = J[a*N + i, b*N + j]: each block is written through its
+    # transpose, in J's memory order (D.T == -D and D2.T == D2 bitwise)
+    JT = J.T.reshape(len(cols), N, len(rows), N)
+    scratch = None if plan is None else np.empty((N, N))
+
+    def term(source, *factors):  # source * factors[0] * ..., in this order
+        return reduce(lambda x, f: np.multiply(x, f, out=scratch), factors, source)
+
+    # numpy buffers a cast or a broadcast 8192 elements at a time: 0.8 block at N=101
+    bufsize = np.setbufsize(1024)
+    try:
+        for a, r in enumerate(rows):
+            if r in cols:
+                np.multiply(D, -w, out=JT[cols.index(r), :, a, :])
+        # every block's diagonal is +0 before P, as D's is
+        JT[:, nodes, :, nodes] = 0.0 - blocks[:, rows][:, :, cols].transpose(0, 2, 1)
+        for b, i in enumerate(cols if plan is not None else ()):
+            # S_ri -= J_ru T, T = Pi^-1 J_ki, J_ru = -diag(coupling_r) (+ wD if r = u)
+            k, u, inverse, c = plan.k, plan.u, plan.inverse, plan.c
+            if i != k and c[i] == 0:
+                continue  # J_ki = 0
+            if u != k:  # S_ui -= Pi^-1 (w^2 D^2 or -c_i wD)
+                JT[b, :, plan._u_at, :] -= (
+                    term(_second_derivative(N), w ** 2, inverse) if i == k
+                    else term(D, -w, -c[i], inverse))
+            # the factors of T's transpose, in the order T was formed in
+            T = ((inverse.T, -c[i]) if u == k else (D, -w, inverse) if i == k
+                 else (np.equal.outer(nodes, nodes), -c[i], inverse))
+            for a, coupling in enumerate(plan.coupling):
+                if coupling.any():
+                    JT[b, :, a, :] += term(*T, coupling)
+    finally:
+        np.setbufsize(bufsize)
     return J
 
 

@@ -371,6 +371,20 @@ class TestSweep:
         assert data[:3, 0].tolist() == [3.0, 2.0, 1.0]
         assert np.all(data[:, 0] > 0.0)
 
+    def test_collapsed_period_two_branch_truncates_and_says_why(
+            self, tmp_path, capsys):
+        out = tmp_path / "sw.csv"
+        rc = main(["sweep", "--model", "pendulum", "--N", "101",
+                   "--subharmonic", "2", "--param", "a=0.1", "omega=17.5",
+                   "--guess", "sin:0.8", "--sweep", "b=181:100:1",
+                   "--out", str(out)])
+        assert rc == 0
+        header, data = _read(out)
+        assert header["status"] == "truncated"
+        assert data[-1, 0] == 141.0 and len(data) == 41
+        assert capsys.readouterr().err == (
+            "41 point(s), status=truncated (collapsed to a shorter period)\n")
+
     def test_range_through_zero_period_truncates(self, tmp_path):
         # the model rejects T_period = 0 (omega = 2*pi/T_period), so the
         # step halves toward it until the branch truncates at its floor

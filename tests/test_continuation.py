@@ -102,6 +102,33 @@ class TestSweep:
         assert sum(r.iterations for r in results[1:]) == 91
         assert sum(r.factorizations for r in results) == 51
 
+    @pytest.mark.parametrize("a", [0.05, 0.1, 0.15])
+    def test_period_two_branch_stops_where_it_collapses(self, a):
+        # below b = 141 the period-2 cycle is gone and Newton lands on the
+        # inverted state, whose period of one forcing period also solves
+        # the doubled grid; that point is not stored
+        def family(b):
+            params = PendulumParams(a=a, b=b, omega=17.5)
+            return CollocationProblem.build(
+                pendulum_system(params, subharmonic=2), 101)
+
+        br = sweep(family, guess_near_pi(101, 0.8, 1, 17.5, 2),
+                   SweepConfig("b", 181.0, 100.0, 1.0))
+        assert br.status == "truncated"
+        assert br.reason == "collapsed to a shorter period"
+        assert [p for p, _ in br.points] == [float(b) for b in range(181, 140, -1)]
+
+    def test_subharmonic_branch_seeded_at_a_shorter_period_is_not_stopped(self):
+        # the inverted state on the doubled grid has no content to lose
+        def family(b):
+            params = PendulumParams(a=0.1, b=b, omega=17.5)
+            return CollocationProblem.build(
+                pendulum_system(params, subharmonic=2), 21)
+
+        X0 = flatten(np.vstack([np.full(21, np.pi), np.zeros(21)]))
+        br = sweep(family, X0, SweepConfig("b", 30.0, 40.0, 5.0))
+        assert (br.status, br.reason, len(br.points)) == ("completed", "", 3)
+
     def test_inverted_branch_guesses_the_previous_state_itself(self,
                                                                monkeypatch):
         # every point takes no iteration, so no secant is formed and each

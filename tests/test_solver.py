@@ -425,6 +425,29 @@ class TestOneSolveRoutine:
         assert solve_counts == {"lu_solve": 28, "dgetrs": 28, "sgetrs": 0}
 
 
+class TestFactorRoutine:
+    # solver.lu_factor calls ?getrf itself, as scipy's lu_factor does
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_factor_and_pivots_are_scipys(self, dtype):
+        prob = CollocationProblem.build(circuit_system(CircuitParams()), 51)
+        X = np.random.default_rng(8).uniform(-2, 2, prob.size)
+        blocks = jacobian_blocks(prob, X)
+        plan = _elimination(prob, blocks)
+        want_lu, want_piv = lu_factor(
+            jacobian(prob, X, blocks=blocks, dtype=dtype, plan=plan))
+        J = jacobian(prob, X, blocks=blocks, dtype=dtype, plan=plan)
+        lu, piv = solver.lu_factor(J)
+        assert lu is J  # factored in place
+        assert lu.dtype == dtype and lu.tobytes() == want_lu.tobytes()
+        np.testing.assert_array_equal(piv, want_piv)
+
+    def test_exactly_zero_pivot_is_left_to_the_pivot_test(self):
+        # scipy warns here; the factor comes back with the zero on U's
+        # diagonal, and newton_solve's pivot test raises for it
+        lu, _ = solver.lu_factor(np.zeros((3, 3), order="F"))
+        assert np.all(np.diag(lu) == 0.0)
+
+
 def _infinite_jacobian_family(p):
     # x' = -x + p^3*cos t, whose Jacobian is made infinite at p = 0 for
     # phases beyond 1; the forcing is not affine in p, so a sweep's

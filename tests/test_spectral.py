@@ -58,7 +58,9 @@ class TestEquispacedMatrix:
         np.testing.assert_allclose(D[0], [0.0, 1 / SQ3, -1 / SQ3],
                                    rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("N", [3, 7, 21, 101])
+    # jacobian writes each omega_eff D block through its transpose as
+    # -omega_eff D: D.T == -D must hold bitwise at every size it assembles
+    @pytest.mark.parametrize("N", [3, 7, 21, 101, 251, 501, 1001])
     def test_zero_diagonal_and_antisymmetry(self, N):
         D = diff_matrix_equispaced(N).entries
         assert np.all(np.diag(D) == 0.0)
@@ -96,7 +98,8 @@ class TestEquispacedMatrix:
         np.testing.assert_allclose(inverse @ (omega * D - c * np.eye(N)),
                                    np.eye(N), rtol=0, atol=1e-13 * N)
 
-    @pytest.mark.parametrize("N", [3, 7, 21, 101])
+    # and the Schur complement's D^2 blocks as D^2 itself: D2 == D2.T
+    @pytest.mark.parametrize("N", [3, 7, 21, 101, 251, 501, 1001])
     def test_second_derivative_is_d_squared(self, N):
         D = diff_matrix_equispaced(N).entries
         D2 = _second_derivative(N)

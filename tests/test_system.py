@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -219,6 +220,59 @@ class TestJacobian:
         J32 = jacobian(prob, X, dtype=np.float32)
         assert J32.dtype == np.float32 and J32.flags.f_contiguous
         np.testing.assert_array_equal(J32, jacobian(prob, X).astype(np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("system", [
+        linear_system(1.0),
+        pendulum_system(PendulumParams(a=0.1, b=181.0, omega=17.5),
+                        subharmonic=2),
+        circuit_system(CircuitParams()),
+    ], ids=["linear", "pendulum", "circuit"])
+    def test_full_matrix_is_the_kron_form(self, system, dtype):
+        # J is written block by block through its transpose; built here
+        # from np.kron and the diagonal blocks of P instead.  D's diagonal
+        # is zero, so every entry is one float64 value rounded once
+        N = 21
+        prob = CollocationProblem.build(system, N)
+        X = np.random.default_rng(5).uniform(-2, 2, prob.size)
+        blocks = jacobian_blocks(prob, X)
+        m, idx = system.dim, np.arange(N)
+        P = np.zeros((m * N, m * N))
+        for k in range(m):
+            for kp in range(m):
+                P[k * N + idx, kp * N + idx] = blocks[:, k, kp]
+        want = prob.omega_eff * np.kron(np.eye(m), prob.D.entries) - P
+        J = jacobian(prob, X, blocks=blocks, dtype=dtype)
+        assert J.dtype == dtype and J.flags.f_contiguous
+        np.testing.assert_array_equal(J, want.astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("system, N, eliminate", [
+        (linear_system(1.0), 251, False),
+        (circuit_system(CircuitParams()), 251, True),
+        (pendulum_system(PendulumParams(a=0.1, b=181.0, omega=17.5),
+                         subharmonic=2), 101, True),
+    ], ids=["linear-J", "circuit-S", "pendulum-S"])
+    def test_assembly_makes_at_most_one_block_sized_scratch(
+            self, system, N, eliminate, dtype):
+        # the peak traced allocation of one call beyond the matrix itself
+        # is at most 1.5 N x N float64 blocks: the one scratch every Schur
+        # term goes through, and no temporary of J's or S's size, which
+        # would fault in fresh pages on every large solve
+        prob = CollocationProblem.build(system, N)
+        X = np.random.default_rng(N).uniform(-2, 2, prob.size)
+        blocks = jacobian_blocks(prob, X)
+        plan = _elimination(prob, blocks) if eliminate else None
+        assert (plan is not None) == eliminate
+        # a first call fills the caches of D and D^2
+        jacobian(prob, X, blocks=blocks, dtype=dtype, plan=plan)
+        tracemalloc.start()
+        try:
+            J = jacobian(prob, X, blocks=blocks, dtype=dtype, plan=plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - J.nbytes <= 1.5 * N * N * 8
 
 
 class TestJacobianProduct:
