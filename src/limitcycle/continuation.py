@@ -74,7 +74,7 @@ class Branch:
     ``status`` is "completed" when the sweep reached ``end`` and
     "truncated" when it stopped early: the step shrank to its floor, a
     step too small to move the parameter was tried, or a subharmonic
-    cycle collapsed to a shorter period, which ``reason`` then says.
+    cycle collapsed to a shorter period; ``reason`` then says which.
     Only converged points are stored, so parameter values are strictly
     monotone.
     """
@@ -134,7 +134,8 @@ def sweep(
         # land exactly on the endpoint instead of accumulating roundoff
         p_trial = cfg.end if trial_h == remaining else p + direction * trial_h
         if p_trial == p:
-            return Branch(tuple(points), "truncated")
+            return Branch(tuple(points), "truncated",
+                          "step too small to move the parameter")
         guess = X
         if X_prev is not None:
             guess = X + (X - X_prev) * ((p_trial - p) / (p - p_prev))
@@ -155,7 +156,8 @@ def sweep(
             h = min(2.0 * h, cfg.step)
         else:
             if trial_h <= min_step:
-                return Branch(tuple(points), "truncated")
+                return Branch(tuple(points), "truncated",
+                              "solve failed at the step floor, step/64")
             h = max(trial_h / 2.0, min_step)
     return Branch(tuple(points), "completed")
 

@@ -80,7 +80,7 @@ def lu_solve(factor, b: np.ndarray) -> np.ndarray:
     complement with the elimination that reduces b and recovers x.  A
     float32 factor solves for b / max|b|, which keeps any b in float32's
     range."""
-    lu, piv, plan = factor
+    lu, piv, plan = factor[:3]
     c = b if plan is None else plan.reduce(b)
     if lu.dtype == np.float64:
         y = dgetrs(lu, piv, c)[0]
@@ -90,12 +90,20 @@ def lu_solve(factor, b: np.ndarray) -> np.ndarray:
     return y if plan is None else plan.recover(b, y)
 
 
-def _refined_step(problem: CollocationProblem, blocks: np.ndarray,
-                  factor, b: np.ndarray) -> np.ndarray | None:
-    """x with J x = b, J having node blocks ``blocks``, by iterative
-    refinement against ``factor``, the LU of an earlier Jacobian or a
-    float32 LU of J itself, with float64 residuals; None when that would
-    cost more than factoring J."""
+def _solve(problem: CollocationProblem, factor, blocks: np.ndarray,
+           b: np.ndarray) -> np.ndarray | None:
+    """x with J x = b to float64 accuracy, J having node blocks ``blocks``,
+    against ``factor`` = (lu, piv, plan, the blocks it was made from); None
+    when that would cost more than factoring J.  A float64 factor of these
+    very blocks solves directly, with one sweep against J after a Schur
+    solve (S's cond can exceed J's).  Any other, a float32 LU or one of an
+    earlier Jacobian, is refined against with float64 residuals."""
+    lu, _, plan, made_from = factor
+    if lu.dtype == np.float64 and blocks is made_from:
+        x = lu_solve(factor, b)
+        if plan is not None:
+            x += lu_solve(factor, b - jacobian_product(problem, blocks, x))
+        return x
     budget = problem.size // 25  # sweeps that cost about one LU
     if budget == 0:
         return None
@@ -128,17 +136,13 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray) -> SolveResult:
     accepted iterate, or a ValueError when the Jacobian is not finite.
     A line-search trial where f cannot be evaluated counts as rejected.
 
-    Each iteration refines its step against the kept LU while that
-    converges cheaply (see ``_refined_step``), and factors J afresh
-    otherwise: the (m-1)N Schur complement left by eliminating one unknown
-    through a row of J that is equal at every node (``_elimination``), or
-    J itself when there is none.  A float64 step solved with the Schur
-    complement gets one refinement sweep against J.  From
-    ``_SINGLE_PRECISION_SIZE`` unknowns mN on, the fresh matrix is
-    assembled and factored in float32 and its step refined with float64
-    residuals; when that refinement gives up, or a float32 pivot is
-    negligible, it is factored again in float64.  ``factorizations``
-    counts every LU, the float64 one of such a fallback included.
+    Each iteration solves with the kept LU while ``_solve`` can, and
+    factors J afresh otherwise: the (m-1)N Schur complement left by
+    eliminating one unknown through a row of J that is equal at every node
+    (``_elimination``), or J itself when there is none.  From
+    ``_SINGLE_PRECISION_SIZE`` unknowns mN on, that LU is float32 first,
+    and float64 when ``_solve`` gives up on it or a float32 pivot is
+    negligible.  ``factorizations`` counts every LU.
     """
     X = np.asarray(X0, dtype=float).copy()
     if X.shape != (problem.size,):
@@ -166,27 +170,22 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray) -> SolveResult:
         bad = np.flatnonzero(~np.isfinite(blocks).all(axis=(1, 2)))
         if bad.size:
             raise ValueError(f"Jacobian is not finite at node index {bad[0]}")
-        delta = None if factor is None else _refined_step(problem, blocks, factor, -R)
+        delta = None if factor is None else _solve(problem, factor, blocks, -R)
         if delta is None:
             large = problem.size >= _SINGLE_PRECISION_SIZE
             plan = _elimination(problem, blocks)
             for dtype in (np.float32, np.float64) if large else (np.float64,):
                 J = jacobian(problem, X, blocks=blocks, dtype=dtype, plan=plan)
-                factor = (*lu_factor(J), plan)  # in place: J is not used again
+                factor = (*lu_factor(J), plan, blocks)  # in place: J is not used again
                 factorizations += 1
                 # rank deficiency of J, exactly when of S, surfaces as a pivot
                 # on the U diagonal negligible for mN at the factor's precision
                 pivots = np.abs(np.diag(factor[0]))
                 if pivots.min() > problem.size * np.finfo(dtype).eps * pivots.max():
-                    delta = (lu_solve(factor, -R) if dtype is np.float64 else
-                             _refined_step(problem, blocks, factor, -R))
-                    if plan is not None and dtype is np.float64:
-                        # S's cond can exceed J's: one sweep against J
-                        delta += lu_solve(factor, -R - jacobian_product(
-                            problem, blocks, delta))
-                if delta is not None:
-                    break
-            if delta is None:
+                    delta = _solve(problem, factor, blocks, -R)
+                    if delta is not None:
+                        break
+            else:
                 raise SingularJacobianError(it)
 
         for lam in _STEP_FRACTIONS:

@@ -396,6 +396,18 @@ class TestSweep:
         assert header["status"] == "truncated"
         assert data[:, 0].tolist() == [1e-5 * 0.5**k for k in range(8)]
 
+    def test_step_floor_truncation_says_why(self, tmp_path, capsys):
+        # L <= 0 is rejected by the model; the step halves toward 0 and
+        # the branch ends at the floor, which the stderr line names
+        out = tmp_path / "sw.csv"
+        rc = main(["sweep", "--model", "circuit", "--N", "11", "--sweep",
+                   "L=1e-5:-1e-5:1e-5", "--out", str(out)])
+        assert rc == 0
+        assert _read(out)[0]["status"] == "truncated"
+        assert capsys.readouterr().err == (
+            "7 point(s), status=truncated"
+            " (solve failed at the step floor, step/64)\n")
+
     def test_inverted_branch_extrema_are_pi_in_every_cell(self, tmp_path):
         out = tmp_path / "inv.csv"
         rc = main(["sweep", "--model", "pendulum", "--N", "101",

@@ -173,6 +173,7 @@ class TestSweep:
         # 1 + 1e-20 == 1: the branch must not repeat the seed point
         br = sweep(_linear_family, np.zeros(11), SweepConfig("p", 1.0, 2.0, 1e-20))
         assert br.status == "truncated"
+        assert br.reason == "step too small to move the parameter"
         assert [p for p, _ in br.points] == [1.0]
 
     def test_seed_failure_raises_with_parameter(self, monkeypatch):
@@ -204,6 +205,7 @@ class TestSweep:
         monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
         br = sweep(family, np.zeros(11), SweepConfig("p", 0.0, 3.0, 1.0))
         assert br.status == "truncated"
+        assert br.reason == "solve failed at the step floor, step/64"
         assert [p for p, _ in br.points] == [0.0, 1.0]
         assert [p - 1.0 for p in trials[2:]] == [2.0**-k for k in range(7)]
 
@@ -219,6 +221,7 @@ class TestSweep:
 
         br = sweep(family, np.zeros(11), SweepConfig("p", 0.0, 2.0, 0.5))
         assert br.status == "truncated"
+        assert br.reason == "solve failed at the step floor, step/64"
         assert [p for p, _ in br.points] == [0.0, 0.5, 1.0]
 
     @staticmethod

@@ -25,6 +25,7 @@ from limitcycle.system import (
     flatten,
     jacobian,
     jacobian_blocks,
+    jacobian_product,
     residual,
     rhs_stack,
 )
@@ -423,6 +424,83 @@ class TestOneSolveRoutine:
                             subharmonic=2), 101)
         assert newton_solve(prob, guess_near_pi(101, 0.8, 1, 17.5, 2)).converged
         assert solve_counts == {"lu_solve": 28, "dgetrs": 28, "sgetrs": 0}
+
+
+def _factor_at(problem, X, dtype):
+    """newton_solve's factor of the Jacobian at X: (lu, piv, plan, blocks)."""
+    blocks = jacobian_blocks(problem, X)
+    plan = _elimination(problem, blocks)
+    J = jacobian(problem, X, blocks=blocks, dtype=dtype, plan=plan)
+    return (*solver.lu_factor(J), plan, blocks)
+
+
+def _solve_errors(problem, X, factor):
+    """Errors of plain solver.lu_solve and of solver._solve with ``factor``
+    against a dense float64 solve of J(X) x = -R(X), relative to max|x|."""
+    b = -residual(problem, X)
+    want = np.linalg.solve(jacobian(problem, X), b)
+    x = solver._solve(problem, factor, jacobian_blocks(problem, X), b)
+    return tuple(np.max(np.abs(got - want)) / np.max(np.abs(want))
+                 for got in (solver.lu_solve(factor, b), x))
+
+
+@pytest.fixture(scope="module")
+def circuit_251():
+    problem = CollocationProblem.build(circuit_system(CircuitParams()), 251)
+    return problem, newton_solve(problem, np.zeros(problem.size)).X
+
+
+@pytest.fixture(scope="module")
+def period_two():
+    problem = CollocationProblem.build(
+        pendulum_system(PendulumParams(a=0.1, b=181.0, omega=17.5),
+                        subharmonic=2), 101)
+    return problem, newton_solve(problem, guess_near_pi(101, 0.8, 1, 17.5, 2)).X
+
+
+class TestSolveToFloat64Accuracy:
+    # solver._solve solves J x = b to float64 accuracy against any factor
+    # newton_solve may hold; plain lu_solve does so only against a fresh
+    # float64 one (measured: plain 1.8e-5 to 2.6e-4, _solve <= 1.3e-13)
+    @pytest.mark.parametrize("at", ["zero", "converged"])
+    def test_float32_schur_factor_of_the_circuit(self, circuit_251, at):
+        problem, X = circuit_251
+        X = np.zeros(problem.size) if at == "zero" else X
+        plain, solved = _solve_errors(problem, X,
+                                      _factor_at(problem, X, np.float32))
+        assert plain > 1e-6 and solved < 1e-11
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stale_factor_of_the_circuit(self, circuit_251, dtype):
+        problem, X = circuit_251
+        plain, solved = _solve_errors(
+            problem, X, _factor_at(problem, X * (1 + 1e-3), dtype))
+        assert plain > 1e-6 and solved < 1e-11
+
+    def test_float32_schur_factor_of_the_period_two_cycle(self, period_two):
+        problem, X = period_two
+        plain, solved = _solve_errors(problem, X,
+                                      _factor_at(problem, X, np.float32))
+        assert plain > 1e-6 and solved < 1e-11
+
+    def test_fresh_float64_factor_solves_directly(self, period_two):
+        # the linear model factors J itself; a Schur solve gets one sweep
+        # against J, and nothing more
+        linear = CollocationProblem.build(linear_system(1.0), 11)
+        X = np.zeros(linear.size)
+        factor = _factor_at(linear, X, np.float64)
+        b = -residual(linear, X)
+        assert factor[2] is None
+        assert solver._solve(linear, factor, factor[3], b).tobytes() == \
+            solver.lu_solve(factor, b).tobytes()
+        problem, X = period_two
+        factor = _factor_at(problem, X, np.float64)
+        b = -residual(problem, X)
+        want = solver.lu_solve(factor, b)
+        want += solver.lu_solve(
+            factor, b - jacobian_product(problem, factor[3], want))
+        assert solver._solve(problem, factor, factor[3], b).tobytes() == \
+            want.tobytes()
 
 
 class TestFactorRoutine:
