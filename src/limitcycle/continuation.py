@@ -184,13 +184,11 @@ def _sampling_matrix(N: int) -> np.ndarray:
     return S
 
 
-def _dense_samples(vals: np.ndarray) -> np.ndarray:
-    """The interpolants of the rows (P, N) at the 8N dense phases, by one
-    product on scipy's BLAS (see ``spectral._times_dt``); anchoring each
-    row at its vals[0] keeps constant rows bitwise intact, though
-    ``extract_extrema`` skips them before its pass."""
-    anchor = vals[:, :1]
-    dense = dgemm(1.0, _sampling_matrix(vals.shape[1]).T, (vals - anchor).T).T
+def _dense_samples(anchor: np.ndarray, dev: np.ndarray) -> np.ndarray:
+    """The interpolants of the rows anchor + dev, (P, 1) + (P, N), at the 8N
+    dense phases by one BLAS product (see ``spectral._times_dt``); adding
+    the anchor last keeps constant rows bitwise intact."""
+    dense = dgemm(1.0, _sampling_matrix(dev.shape[1]).T, dev.T).T
     dense += anchor  # in place: a second (P, 8N) array costs its page faults
     return dense
 
@@ -242,9 +240,8 @@ def _extrema_pass(grid: NodeGrid, vals: np.ndarray, dev: np.ndarray):
     N = grid.size
     # dense phase i is -pi + 2*pi*i/M; the node at pi leads the FFT's input
     M = _OVERSAMPLE * N
-    ts = -np.pi + 2.0 * np.pi * np.arange(M) / M
     coeffs = np.fft.rfft(np.roll(dev, 1, axis=1), axis=1)
-    dense = _dense_samples(vals)
+    dense = _dense_samples(vals[:, :1], dev)
 
     # for odd N, p(t) - vals[0] = (c_0 + 2 Re sum_{k>=1} c_k e^{ik(t+pi)})/N,
     # so p' and p'' weight mode k by ik and -k^2; t holds (max, min) per row
@@ -252,7 +249,7 @@ def _extrema_pass(grid: NodeGrid, vals: np.ndarray, dev: np.ndarray):
     i_ext = np.stack([dense.argmax(axis=1), dense.argmin(axis=1)], axis=1)
     sampled = np.take_along_axis(dense, i_ext, axis=1)
     sign = np.array([1.0, -1.0])
-    t0 = ts[i_ext]
+    t0 = -np.pi + 2.0 * np.pi * i_ext / M
     spacing = 2.0 * np.pi / M
     t = t0
     for _ in range(_NEWTON_STEPS):
@@ -260,9 +257,6 @@ def _extrema_pass(grid: NodeGrid, vals: np.ndarray, dev: np.ndarray):
         p1 = -(2.0 / N) * (z.imag @ k)
         p2 = -(2.0 / N) * (z.real @ (k * k))
         curved = sign * p2 < 0.0
-        if not curved.any():
-            # every step would be zero
-            break
         step = np.where(curved, -p1 / np.where(curved, p2, 1.0), 0.0)
         t = np.clip(t + step, t0 - spacing, t0 + spacing)
     refined = trig_interpolate(grid, vals, t)

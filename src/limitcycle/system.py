@@ -131,9 +131,8 @@ def _wrap_phase(t: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _eval_plan(N: int, s: int, breakpoints: tuple) -> tuple[np.ndarray, ...]:
     """The forcing phases of the N nodes, and the node index and forcing
-    phase of every column f is evaluated at; cached, since a sweep builds
-    a problem at every point on the same plan, which each problem makes
-    read-only.
+    phase of every column f is evaluated at; cached and read-only, since
+    a sweep builds a problem at every point on the same plan.
 
     Columns 0..N-1 are the nodes at their forcing phases, except that a
     node on a breakpoint takes the phase just before it; then comes each
@@ -141,8 +140,6 @@ def _eval_plan(N: int, s: int, breakpoints: tuple) -> tuple[np.ndarray, ...]:
     """
     nodes = diff_matrix_equispaced(N).grid.nodes
     phases = nodes if s == 1 else _wrap_phase(s * nodes)
-    if not breakpoints:
-        return phases, np.arange(N), phases
     bps = np.asarray(breakpoints, dtype=float)
     # the wrapped phases s * t_j round to within about 2*s ulps of pi
     tol = 4.0 * s * np.spacing(np.pi)
@@ -156,8 +153,11 @@ def _eval_plan(N: int, s: int, breakpoints: tuple) -> tuple[np.ndarray, ...]:
     after[after > np.pi] -= 2.0 * np.pi
     node_phases = phases.copy()
     node_phases[jumps] = np.nextafter(at, -np.inf)
-    return (phases, np.concatenate([np.arange(N), jumps]),
+    plan = (phases, np.concatenate([np.arange(N), jumps]),
             np.concatenate([node_phases, after]))
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
 
 
 @dataclass(frozen=True)
@@ -179,10 +179,6 @@ class CollocationProblem:
     forcing_phases: np.ndarray = field(repr=False)
     eval_nodes: np.ndarray = field(repr=False)
     eval_phases: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        for arr in (self.forcing_phases, self.eval_nodes, self.eval_phases):
-            arr.setflags(write=False)
 
     @classmethod
     def build(cls, system: PeriodicSystem, N: int) -> "CollocationProblem":

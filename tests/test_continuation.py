@@ -323,7 +323,7 @@ class TestDenseSamples:
             "rk,rkj->rj", amps,
             np.cos(modes[:, None] * grid.nodes - shifts[..., None]))
         vals = np.vstack([rows, 5.0 * rng.normal(size=(4, 1)) + np.zeros(N)])
-        dense = continuation._dense_samples(vals)
+        dense = continuation._dense_samples(vals[:, :1], vals - vals[:, :1])
         want = _irfft_samples(vals)
         assert dense.shape == want.shape == (24, 8 * N)
         tol = 1e-13 * (1.0 + np.max(np.abs(vals), axis=1, keepdims=True))

@@ -102,6 +102,18 @@ class TestResidual:
         # distinct forcing phases (grid size odd, order 2 coprime)
         assert np.unique(prob.forcing_phases).size == 11
 
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_plan_without_breakpoints_is_the_nodes_shared_and_frozen(self, s):
+        system = pendulum_system(PendulumParams(b=1.0), subharmonic=s)
+        assert not system.breakpoints
+        prob = CollocationProblem.build(system, 11)
+        np.testing.assert_array_equal(prob.eval_nodes, np.arange(11))
+        assert prob.eval_phases.tobytes() == prob.forcing_phases.tobytes()
+        again = CollocationProblem.build(system, 11)
+        for name in ("forcing_phases", "eval_nodes", "eval_phases"):
+            assert not getattr(prob, name).flags.writeable
+            assert getattr(again, name) is getattr(prob, name)
+
     def test_rhs_failure_carries_node_index(self):
         def bad_rhs(x, t, params):
             if t > 0:
