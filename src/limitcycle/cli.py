@@ -424,6 +424,12 @@ def cmd_interp(args) -> int:
         elif name == "tau":
             if omega <= 0.0:
                 raise ValueError("cannot rebuild tau: no frequency in header")
+            if not math.isfinite(omega):
+                raise ValueError(
+                    f"cannot rebuild tau: header omega {omega} is not finite")
+            if s < 1:
+                raise ValueError("cannot rebuild tau: header subharmonic "
+                                 f"{s} is not a positive integer")
             out_cols.append(s * ts / omega)
         else:
             out_cols.append(trig_interpolate(grid, values, ts))

@@ -36,12 +36,6 @@ _MIN_STEP_DIVISOR = 64.0
 class BranchSeedError(RuntimeError):
     """The sweep's initial point failed to converge."""
 
-    def __init__(self, parameter: float):
-        self.parameter = parameter
-        super().__init__(
-            f"initial solve did not converge at parameter value {parameter!r}"
-        )
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -119,7 +113,8 @@ def sweep(
     problem = problem_family(p)
     seed = newton_solve(problem, np.asarray(X0, dtype=float))
     if not seed.converged:
-        raise BranchSeedError(p)
+        raise BranchSeedError(
+            f"initial solve did not converge at parameter value {p!r}")
     watch = problem.system.subharmonic > 1 and not _shorter_period(problem, seed.X)
     points = [(p, seed)]
     X = seed.X

@@ -46,12 +46,6 @@ _SINGLE_PRECISION_SIZE = 300
 class SingularJacobianError(RuntimeError):
     """LU factorization of the Newton matrix failed (rank deficient)."""
 
-    def __init__(self, iteration: int):
-        self.iteration = iteration
-        super().__init__(
-            f"Jacobian numerically singular at Newton iteration {iteration}"
-        )
-
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -156,7 +150,7 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray) -> SolveResult:
     if not math.isfinite(scale):  # then tol and every norm would be as well
         node = int(np.flatnonzero(~np.isfinite(F))[0] % problem.grid.size)
         raise RhsEvaluationError(
-            node, f"rhs is not finite at node index {node} of the initial state")
+            f"rhs is not finite at node index {node} of the initial state")
     tol = 1e-10 * (1.0 + scale)
 
     R = residual(problem, X, F)
@@ -186,7 +180,8 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray) -> SolveResult:
                     if delta is not None:
                         break
             else:
-                raise SingularJacobianError(it)
+                raise SingularJacobianError(
+                    f"Jacobian numerically singular at Newton iteration {it}")
 
         for lam in _STEP_FRACTIONS:
             X_trial = X + lam * delta

@@ -53,16 +53,9 @@ _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 
 class RhsEvaluationError(RuntimeError):
-    """Right-hand-side evaluation failed at a collocation node.
-
-    A table form raises it with ``node`` the index of the failing column;
-    the collocation layer re-raises it with that column's node index.
-    ``node`` is None when a table form failed without naming a column.
-    """
-
-    def __init__(self, node: int | None, message: str = ""):
-        self.node = node
-        super().__init__(message or f"rhs evaluation failed at node index {node}")
+    """Right-hand-side evaluation failed at a collocation node; the
+    message names the node index, or says the failure was over a node
+    table when a table form raised."""
 
 
 @dataclass(frozen=True)
@@ -209,7 +202,8 @@ def _node_values(problem: CollocationProblem, table: np.ndarray,
     plan, or of ``rhs`` at each column when it has no ``rhs_table``; a
     jump node gets the mean of its two columns.  A table form that
     returns another shape raises ValueError.  A failure is raised as
-    RhsEvaluationError with the node index of the failing column.
+    RhsEvaluationError, naming the failing column's node index in the
+    per-column loop.
     """
     system, params = problem.system, problem.system.params
     N, nodes, phases = problem.grid.size, problem.eval_nodes, problem.eval_phases
@@ -226,23 +220,16 @@ def _node_values(problem: CollocationProblem, table: np.ndarray,
             for j in range(K):
                 values[:, j] = system.rhs(columns[:, j], phases[j], params)
     except Exception as exc:
-        # the loop's column, or the one a table form's own error names
-        named = form is not None and isinstance(exc, RhsEvaluationError)
-        column, cause = (exc.node, exc.__cause__ or exc) if named else (j, exc)
-    else:
-        if values.shape != shape:
-            raise ValueError(
-                f"{name} returned shape {values.shape}, expected {shape}")
-        if kind == "rhs":
-            values = values.T
-        jumps = nodes[N:]
-        if jumps.size:
-            values[jumps] = 0.5 * (values[jumps] + values[N:])
-        return values[:N]
-    node = None if column is None else int(nodes[column])
-    where = "over a node table" if node is None else f"at node index {node}"
-    raise RhsEvaluationError(
-        node, f"{kind} evaluation failed {where}: {cause}") from cause
+        where = "over a node table" if j is None else f"at node index {nodes[j]}"
+        raise RhsEvaluationError(f"{kind} evaluation failed {where}: {exc}") from exc
+    if values.shape != shape:
+        raise ValueError(f"{name} returned shape {values.shape}, expected {shape}")
+    if kind == "rhs":
+        values = values.T
+    jumps = nodes[N:]
+    if jumps.size:
+        values[jumps] = 0.5 * (values[jumps] + values[N:])
+    return values[:N]
 
 
 def rhs_stack(problem: CollocationProblem, X: np.ndarray) -> np.ndarray:

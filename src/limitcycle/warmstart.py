@@ -46,7 +46,6 @@ class TransientDivergenceError(RuntimeError):
     """Integration produced a non-finite state."""
 
     def __init__(self, step: int):
-        self.step = step
         super().__init__(f"transient diverged (non-finite state) at step {step}")
 
 

@@ -656,6 +656,29 @@ class TestInterp:
         assert main(["interp", "--input", str(no_omega), "--points", "0"]) == 2
         assert _error_message(capsys) == "points must be a positive integer"
 
+    @pytest.mark.parametrize("fields, message", [
+        ("omega=nan", "header omega nan is not finite"),
+        ("omega=inf", "header omega inf is not finite"),
+        ("omega=1\n# subharmonic=0",
+         "header subharmonic 0 is not a positive integer"),
+        ("omega=1\n# subharmonic=-2",
+         "header subharmonic -2 is not a positive integer"),
+    ], ids=["omega-nan", "omega-inf", "subharmonic-0", "subharmonic-minus-2"])
+    def test_tau_from_a_bad_header_frequency_or_order_exits_2(
+            self, tmp_path, capsys, fields, message):
+        # tau = s * t / omega would be nan, -0/0, zero or negative
+        nodes = equispaced_nodes(3).nodes
+        sol, out = tmp_path / "bad.csv", tmp_path / "dense.csv"
+        sol.write_text(f"# N=3\n# {fields}\n# columns=phase,tau,x1\n"
+                       + "".join(f"{t:.17g},{t:.17g},1\n" for t in nodes))
+        assert main(["interp", "--input", str(sol), "--out", str(out)]) == 2
+        assert _error_message(capsys) == f"cannot rebuild tau: {message}"
+        assert not out.exists()
+        # without a tau column nothing is rebuilt from the header
+        sol.write_text(f"# N=3\n# {fields}\n# columns=phase,x1\n"
+                       + "".join(f"{t:.17g},1\n" for t in nodes))
+        assert main(["interp", "--input", str(sol), "--out", str(out)]) == 0
+
     def test_repeated_column_name_exits_2(self, tmp_path, capsys):
         # a column is read by its name, so a name may appear only once
         nodes = equispaced_nodes(3).nodes

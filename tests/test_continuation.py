@@ -181,7 +181,8 @@ class TestSweep:
         with pytest.raises(BranchSeedError) as info:
             sweep(_linear_family, np.full(11, 50.0),
                   SweepConfig("p", 1.0, 2.0, 0.5))
-        assert info.value.parameter == 1.0
+        assert str(info.value) == (
+            "initial solve did not converge at parameter value 1.0")
 
     def test_step_underflow_truncates_instead_of_raising(self, monkeypatch):
         # the seed state is exact at p=0 (zero iterations), while any

@@ -139,7 +139,8 @@ class TestFailureModes:
         prob = CollocationProblem.build(sys, 5)
         with pytest.raises(SingularJacobianError) as info:
             newton_solve(prob, np.zeros(5))
-        assert info.value.iteration == 1
+        assert str(info.value) == (
+            "Jacobian numerically singular at Newton iteration 1")
 
     def test_nonconvergence_is_reported_not_raised(self, monkeypatch):
         monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
@@ -205,7 +206,9 @@ class TestFailedTrials:
             PeriodicSystem(dim=1, rhs=rhs, omega=1.0), 11)
         with pytest.raises(RhsEvaluationError) as info:
             newton_solve(prob, np.zeros(11))
-        assert prob.grid.nodes[info.value.node] > 1.0
+        node = int(np.flatnonzero(prob.grid.nodes > 1.0)[0])
+        assert str(info.value) == (
+            f"rhs is not finite at node index {node} of the initial state")
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_nan_or_negative_inf_in_second_component_names_its_node(self, bad):
@@ -221,7 +224,6 @@ class TestFailedTrials:
         nodes = prob.grid.nodes
         with pytest.raises(RhsEvaluationError) as info:
             newton_solve(prob, np.zeros(22))
-        assert info.value.node == node
         assert str(info.value) == (
             f"rhs is not finite at node index {node} of the initial state")
 
@@ -378,7 +380,8 @@ class TestSinglePrecisionFactor:
         assert prob.size >= solver._SINGLE_PRECISION_SIZE
         with pytest.raises(SingularJacobianError) as info:
             newton_solve(prob, np.zeros(prob.size))
-        assert info.value.iteration == 1
+        assert str(info.value) == (
+            "Jacobian numerically singular at Newton iteration 1")
         assert factor_dtypes == [np.float32, np.float64]
         assert not calls
 
@@ -699,7 +702,8 @@ class TestSchurComplement:
         problem = CollocationProblem.build(system, N)
         with pytest.raises(SingularJacobianError) as info:
             newton_solve(problem, np.zeros(problem.size))
-        assert info.value.iteration == 1
+        assert str(info.value) == (
+            "Jacobian numerically singular at Newton iteration 1")
         large = problem.size >= solver._SINGLE_PRECISION_SIZE
         assert factor_dtypes == ([np.float32, np.float64] if large
                                  else [np.float64])

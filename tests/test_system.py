@@ -125,7 +125,6 @@ class TestResidual:
         with pytest.raises(RhsEvaluationError) as info:
             residual(prob, np.zeros(5))
         first_positive = int(np.argmax(prob.grid.nodes > 0))
-        assert info.value.node == first_positive
         assert str(info.value) == (
             f"rhs evaluation failed at node index {first_positive}: blow up")
         assert type(info.value.__cause__) is FloatingPointError
@@ -521,23 +520,23 @@ class TestTableForm:
         # the source's +A side alone is far from it
         assert np.max(np.abs(R[:, j] - (deriv[:, j] - sides[0]))) > 1e-3 * scale
 
-    def test_failing_column_raises_with_its_node_index(self):
+    def test_table_forms_own_rhs_error_is_wrapped_over_the_table(self):
+        refused = RhsEvaluationError("refused")
+
         def refusing_table(table, t, params):
             # only the jump node's call at the phase just after pi
-            bad = np.flatnonzero(t < -3.14)
-            if bad.size:
-                raise RhsEvaluationError(int(bad[0]), "refused")
+            if np.any(t < -3.14):
+                raise refused
             return -table
 
         sys = PeriodicSystem(dim=1, rhs=lambda x, t, p: -x, omega=1.0,
                              rhs_table=refusing_table, breakpoints=(np.pi,))
         prob = CollocationProblem.build(sys, 11)
-        with pytest.raises(RhsEvaluationError, match="node index 10") as info:
+        with pytest.raises(RhsEvaluationError) as info:
             residual(prob, np.zeros(11))
-        assert info.value.node == 10
         assert str(info.value) == (
-            "rhs evaluation failed at node index 10: refused")
-        assert str(info.value.__cause__) == "refused"
+            "rhs evaluation failed over a node table: refused")
+        assert info.value.__cause__ is refused
 
     def test_table_failure_without_a_column_is_an_rhs_error(self):
         def failing_table(table, t, params):
@@ -547,7 +546,6 @@ class TestTableForm:
                              rhs_table=failing_table)
         with pytest.raises(RhsEvaluationError, match="blow up") as info:
             residual(CollocationProblem.build(sys, 5), np.zeros(5))
-        assert info.value.node is None
         assert str(info.value) == (
             "rhs evaluation failed over a node table: blow up")
         assert type(info.value.__cause__) is FloatingPointError
@@ -580,9 +578,8 @@ class TestTableForm:
         # x' = -atan(x) from 1.5: the full Newton step lands on -1.69,
         # outside the table form's domain |x| <= 1.6
         def rhs_table(table, t, params):
-            bad = np.flatnonzero(np.abs(table[0]) > 1.6)
-            if bad.size:
-                raise RhsEvaluationError(int(bad[0]), "outside the domain")
+            if np.any(np.abs(table[0]) > 1.6):
+                raise RhsEvaluationError("outside the domain")
             return -np.arctan(table)
 
         sys = PeriodicSystem(

@@ -100,7 +100,8 @@ class TestRk4Transient:
                 TransientDivergenceError
             ) as info:
                 rk4_transient(bad, cfg)
-            assert info.value.step == 13
+            assert str(info.value) == (
+                "transient diverged (non-finite state) at step 13")
 
     def test_float_overflow_is_divergence(self):
         # on floats x ** 2 raises OverflowError where numpy returned inf;
@@ -113,7 +114,8 @@ class TestRk4Transient:
                                   initial_state=np.eye(m)[0])
             with pytest.raises(TransientDivergenceError) as info:
                 rk4_transient(bad, cfg)
-            assert info.value.step == 13
+            assert str(info.value) == (
+                "transient diverged (non-finite state) at step 13")
 
     def test_value_error_at_a_nonfinite_stage_is_divergence(self):
         # 1e300 * x0 overflows to inf in the second slope, so the third
@@ -127,7 +129,8 @@ class TestRk4Transient:
                                   initial_state=np.eye(m)[0])
             with pytest.raises(TransientDivergenceError) as info:
                 rk4_transient(bad, cfg)
-            assert info.value.step == 1
+            assert str(info.value) == (
+                "transient diverged (non-finite state) at step 1")
 
     def test_value_error_at_a_finite_state_propagates(self):
         # only a ValueError at a non-finite stage state is divergence
@@ -291,7 +294,7 @@ def _assert_bitwise_equal_to_array_loop(system, x0, cycles, steps, N=None):
         except TransientDivergenceError as exc:
             with pytest.raises(TransientDivergenceError) as info:
                 rk4_transient(system, cfg, grid)
-            assert info.value.step == exc.step
+            assert str(info.value) == str(exc)
             return
         res = rk4_transient(system, cfg, grid)
     times, states, node_state = expected
