@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from math import exp as _exp, log as _log  # for diode_voltage
 from typing import NamedTuple
 
 import numpy as np
@@ -192,6 +193,14 @@ class CircuitParams:
                                  g3=self.R3 * self.R4 / r34,
                                  is_r1=self.i_s * self.R1)
 
+    @functools.cached_property
+    def _diode(self) -> tuple:
+        """(a, isr, ln(isr/a), R2, wrightomega) for the diode; scipy.special
+        is imported at the first diode evaluation, not with the package."""
+        from scipy.special import wrightomega
+        k = self.derived
+        return k.a, k.isr, k.log_isr_a, self.R2, wrightomega
+
 
 def square_wave(t: float, amplitude: float) -> float:
     """Square wave amplitude * sgn(t) on the phase t, with sgn(0) = +1.
@@ -217,14 +226,6 @@ def diode_residual(vd: float, x1: float, x3: float, vs: float,
             - p.R2 * (vs - x1 - p.R1 * x3 - vd))
 
 
-@functools.cache
-def _wrightomega():
-    # imported on first use: only the circuit needs scipy.special, and
-    # importing it with the package added 10-20% to every CLI start-up
-    from scipy.special import wrightomega
-    return wrightomega
-
-
 def _diode_omega(x1, x3, vs, p: CircuitParams):
     """The setup shared by both diode finishes: (c, w).
 
@@ -235,9 +236,9 @@ def _diode_omega(x1, x3, vs, p: CircuitParams):
     diode with series resistance, in a form that cannot overflow.
     Scalars or arrays alike.
     """
-    k = p.derived
-    c = (vs - x1) + p.R2 * x3 + k.isr
-    return c, _wrightomega()(c / k.a + k.log_isr_a)
+    a, isr, log_isr_a, R2, wrightomega = p._diode
+    c = (vs - x1) + R2 * x3 + isr
+    return c, wrightomega(c / a + log_isr_a)
 
 
 def diode_voltage(x1: float, x3: float, vs: float, p: CircuitParams) -> float:
@@ -247,16 +248,16 @@ def diode_voltage(x1: float, x3: float, vs: float, p: CircuitParams) -> float:
     to 0; V_d = a*ln(a*w/isr) otherwise, where c and a*w grow together
     and their difference would cancel.  Below an argument of -50, w is
     ``math.exp`` of it, which is what scipy's wrightomega returns there.
+    RK4 calls this once per rhs, so it unpacks ``p._diode``, computed
+    once per parameter record, and reads no other attribute.
     """
-    # c and w as in _diode_omega, inline: RK4 calls this once per rhs, so
-    # the three constants come out of p.derived in one unpack
-    a, isr, log_isr_a = p.derived[:3]
-    c = (vs - x1) + p.R2 * x3 + isr
-    # kept on math, not np.where: the numpy form costs about five times
-    # as much on a scalar; exp is several times cheaper than wrightomega
+    # _diode_omega inline, on math: np.where costs about five times as
+    # much on a scalar, and exp a fraction of wrightomega
+    a, isr, log_isr_a, R2, wrightomega = p._diode
+    c = (vs - x1) + R2 * x3 + isr
     x = c / a + log_isr_a
-    w = math.exp(x) if x < -50.0 else float(_wrightomega()(x))
-    return c - a * w if w <= 1.0 else a * math.log(a * w / isr)
+    w = _exp(x) if x < -50.0 else float(wrightomega(x))
+    return c - a * w if w <= 1.0 else a * _log(a * w / isr)
 
 
 def diode_voltages(x1: np.ndarray, x3: np.ndarray, vs: np.ndarray,
@@ -322,8 +323,8 @@ def circuit_system(p: CircuitParams) -> PeriodicSystem:
     ``p``: it holds p's elements and ``p.derived`` as locals, refuses any
     other params record, and does the arithmetic of
     :func:`_circuit_derivatives` in the same order.  The table forms take
-    the element combinations from ``p.derived``, which is computed once
-    per parameter record.
+    the element combinations from ``p.derived``, and both diode forms
+    theirs from ``p._diode``, each computed once per parameter record.
     """
     A_m, R1, R4, L = p.A_m, p.R1, p.R4, p.L
     k = p.derived

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from limitcycle import models
 from limitcycle.models import (
     BOLTZMANN,
     ELECTRON_CHARGE,
@@ -23,6 +24,7 @@ from limitcycle.models import (
     square_wave,
 )
 from limitcycle.system import CollocationProblem, jacobian
+from limitcycle.warmstart import TransientConfig, rk4_transient
 
 
 class TestPendulum:
@@ -204,6 +206,70 @@ class TestDiode:
         # a wrong last digit of a w this small
         below = [x for x in xs if x < -50.0] + [-math.inf]
         assert [math.exp(x) for x in below] == list(wrightomega(below))
+
+
+def _diode_voltage_per_call(x1, x3, vs, p):
+    """diode_voltage as it was when every call looked its constants up on
+    p and its wrightomega up in a cached loader, kept as its bitwise
+    oracle."""
+    from scipy.special import wrightomega
+
+    a, isr, log_isr_a = p.derived[:3]
+    c = (vs - x1) + p.R2 * x3 + isr
+    x = c / a + log_isr_a
+    w = math.exp(x) if x < -50.0 else float(wrightomega(x))
+    return c - a * w if w <= 1.0 else a * math.log(a * w / isr)
+
+
+class TestDiodeConstantsPerRecord:
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.one_of(st.floats(-800.0, 1.0), st.floats(1.0, 400.0),
+                       st.just(-50.0)),
+           ulps=st.integers(-8, 8), x3=st.floats(-5.0, 5.0),
+           vs=st.sampled_from([-5.6, 5.6]), i_s=st.floats(1e-12, 1e-6),
+           R2=st.floats(0.01, 1.0))
+    @example(x=-50.0, ulps=0, x3=0.5, vs=-5.6, i_s=1e-8, R2=0.15)
+    @example(x=-50.0, ulps=1, x3=0.5, vs=5.6, i_s=1e-9, R2=0.3)
+    @example(x=-50.0, ulps=-1, x3=0.5, vs=5.6, i_s=1e-9, R2=0.3)
+    @example(x=1.0, ulps=0, x3=0.5, vs=5.6, i_s=1e-8, R2=0.15)
+    def test_matches_the_per_call_form_bitwise(self, x, ulps, x3, vs, i_s,
+                                                R2):
+        # x is the Wright omega argument: up to 1 the blocking side, above
+        # it the conducting one; about -50, each ulp of x1 moves it by a
+        # few ulps across the math.exp switch.  The second record comes
+        # from one whose constants were read already, so a cache that
+        # outlived its record would answer with the first one's
+        first = CircuitParams()
+        diode_voltage(1.0, 0.5, 5.6, first)
+        second = dataclasses.replace(first, i_s=i_s, R2=R2)
+        for p in (first, second, first):
+            a, isr, log_isr_a = p.derived[:3]
+            x1 = vs + p.R2 * x3 + isr - a * (x - log_isr_a)
+            for _ in range(abs(ulps)):
+                x1 = math.nextafter(x1, math.copysign(math.inf, ulps))
+            got = diode_voltage(x1, x3, vs, p)
+            want = _diode_voltage_per_call(x1, x3, vs, p)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_rhs_and_rk4_reach_the_diode_through_the_module(self,
+                                                           monkeypatch):
+        # a tracer counts diode calls by replacing models.diode_voltage
+        # once the system is built; an rhs that inlined the diode, or took
+        # it at build time, would count none
+        p = CircuitParams()
+        system = circuit_system(p)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return diode_voltage(*args)
+
+        monkeypatch.setattr(models, "diode_voltage", counting)
+        system.rhs([1.0, 0.0, 0.5], 0.5, p)
+        assert len(calls) == 1
+        rk4_transient(system, TransientConfig(cycles=1, steps_per_cycle=8,
+                                              initial_state=np.zeros(3)))
+        assert len(calls) == 1 + 4 * 8
 
 
 class TestCircuit:

@@ -3,7 +3,8 @@
 The package ``__init__`` re-exports nothing, so a public name is declared
 once, in its module's ``__all__``.  Each module is imported in a fresh
 interpreter, where no sibling has been imported first, with warnings
-turned into errors.
+turned into errors.  A fresh interpreter also shows when ``scipy.special``,
+which only the circuit's diode needs, is first imported.
 """
 
 import os
@@ -19,16 +20,39 @@ MODULES = ["spectral", "system", "solver", "continuation", "models",
            "warmstart", "cli"]
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_module_imports_alone_and_defines_its_all(module):
+def _run_fresh(code, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    code = (f"import limitcycle.{module} as m\n"
-            "missing = [n for n in m.__all__ if not hasattr(m, n)]\n"
-            "assert m.__all__ and not missing, missing\n")
     proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
                           env=env, capture_output=True, text=True,
-                          timeout=120)
+                          timeout=120, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_alone_and_defines_its_all(module):
+    _run_fresh(f"import limitcycle.{module} as m\n"
+               "missing = [n for n in m.__all__ if not hasattr(m, n)]\n"
+               "assert m.__all__ and not missing, missing\n")
+
+
+def test_scipy_special_waits_for_the_first_circuit_evaluation(tmp_path):
+    # only the circuit's diode needs scipy.special: pendulum and linear
+    # runs, a CircuitParams record, its derived constants and a built
+    # circuit system leave it unimported; the first rhs call imports it
+    _run_fresh(
+        "import sys\n"
+        "from limitcycle.cli import main\n"
+        "from limitcycle.models import CircuitParams, circuit_system\n"
+        "assert main('solve --model pendulum --N 11 --guess pi "
+        "--out p.csv'.split()) == 0\n"
+        "assert main('solve --model linear --N 11 --out l.csv'.split()) == 0\n"
+        "p = CircuitParams()\n"
+        "system = circuit_system(p)\n"
+        "assert p.derived.a > 0\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "system.rhs([1.0, 0.0, 0.5], 0.5, p)\n"
+        "assert 'scipy.special' in sys.modules\n",
+        cwd=tmp_path)
