@@ -25,7 +25,6 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -93,16 +92,9 @@ _MODELS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings of one CLI run (flags layered over config file)."""
-
-    model: str
-    N: int | None  # None for simulate, as is guess: a transient needs neither
-    params: dict
-    subharmonic: int = 1
-    guess: str | None = "constant:0"
-    out: str | None = None
+# the [run] keys a config file may set, lower-cased: option -> (type, default)
+_RUN_KEYS = {"N": (int, None), "out": (str, None), "subharmonic": (int, 1),
+             "guess": (str, "constant:0")}
 
 
 def _fmt(x: float) -> str:
@@ -148,37 +140,36 @@ def _load_config_file(path: str) -> dict:
                          + " ".join(str(exc).split())) from None
 
 
-def _resolve_config(args) -> RunConfig:
-    """Layer command-line flags over the optional config file."""
+def _fill(args, run: dict, *names) -> None:
+    """Set each named option that the command has but its flag left unset
+    from the config file's [run] section, or else from its default."""
+    for name in names:
+        (cast, default), key = _RUN_KEYS[name], name.lower()
+        if name in args and getattr(args, name) is None:
+            setattr(args, name, default if key not in run else
+                    _parse_number(run[key], cast, f"config value {key}"))
+
+
+def _resolve_config(args) -> None:
+    """Layer the command-line flags over the optional config file, in
+    place on ``args``, and set ``args.params``.  Of several errors the
+    first in this order is reported: model, N, params, out, subharmonic."""
     sections = _load_config_file(args.config) if args.config else {}
-    file_run = sections.get("run", {})
-    model = args.model or file_run.get("model")
-    if not model:
+    run = sections.get("run", {})
+    args.model = args.model or run.get("model")
+    if not args.model:
         raise ValueError("no model given (flag --model or config [run] model)")
-    if model not in _MODELS:
+    if args.model not in _MODELS:
         # --model is checked by its choices; a config file's is not
-        raise ValueError(f"unknown model {model!r}")
-    file_params = _parse_param_items(
-        f"{k}={v}" for k, v in sections.get(model, {}).items())
-
-    def _pick(flag, key, cast, default):
-        if flag is not None:
-            return flag
-        if key in file_run:
-            return _parse_number(file_run[key], cast, f"config value {key}")
-        return default
-
-    grid = "N" in args  # solve and sweep take --N and --guess
-    N = _pick(args.N, "n", int, None) if grid else None
-    if grid and N is None:
+        raise ValueError(f"unknown model {args.model!r}")
+    _fill(args, run, "N")
+    if "N" in args and args.N is None:
         raise ValueError("no node count given (flag --N or config [run] n)")
-    params = {**file_params, **_parse_param_items(args.param or ())}
-    out = _pick(args.out, "out", str, None)
-    _check_writable(out)
-    return RunConfig(
-        model=model, N=N, params=params, out=out,
-        subharmonic=_pick(args.subharmonic, "subharmonic", int, 1),
-        guess=_pick(args.guess, "guess", str, "constant:0") if grid else None)
+    file_params = [f"{k}={v}" for k, v in sections.get(args.model, {}).items()]
+    args.params = _parse_param_items(file_params + (args.param or []))
+    _fill(args, run, "out")
+    _check_writable(args.out)
+    _fill(args, run, "subharmonic", "guess")
 
 
 def _check_writable(path) -> None:
@@ -197,27 +188,26 @@ def _check_writable(path) -> None:
         os.remove(path)
 
 
-def _instantiate(cfg: RunConfig):
-    """(params, system, problem) of a config; no node count, no problem."""
-    model = _MODELS[cfg.model]
+def _instantiate(args):
+    """(params, system, problem) of a run; no node count, no problem."""
+    model = _MODELS[args.model]
     valid = {f.name for f in dataclasses.fields(model.params)}
-    unknown = sorted(set(cfg.params) - valid)
+    unknown = sorted(set(args.params) - valid)
     if unknown:
         # the record's constructor would raise a TypeError
-        raise ValueError(
-            f"model {cfg.model!r} has no parameter(s) {', '.join(unknown)}"
-        )
-    params = model.params(**cfg.params)
-    system = _system(cfg, params)
-    return params, system, (None if cfg.N is None else
-                            CollocationProblem.build(system, cfg.N))
+        raise ValueError(f"model {args.model!r} has no parameter(s) "
+                         + ", ".join(unknown))
+    params = model.params(**args.params)
+    system = _system(args, params)
+    return params, system, (CollocationProblem.build(system, args.N)
+                            if "N" in args else None)
 
 
-def _system(cfg: RunConfig, params):
+def _system(args, params):
     """The model's system at ``params``, of the run's subharmonic order."""
-    system = globals()[_MODELS[cfg.model].factory](params)
-    return (system if system.subharmonic == cfg.subharmonic else
-            dataclasses.replace(system, subharmonic=cfg.subharmonic))
+    system = globals()[_MODELS[args.model].factory](params)
+    return (system if system.subharmonic == args.subharmonic else
+            dataclasses.replace(system, subharmonic=args.subharmonic))
 
 
 def _read_solution(path: str):
@@ -259,10 +249,10 @@ def _read_solution(path: str):
     return header, grid, dict(zip(names, data.T))
 
 
-def _initial_guess(cfg: RunConfig, system, problem) -> np.ndarray:
-    kind, _, rest = cfg.guess.partition(":")
-    m, N = system.dim, cfg.N
-    if kind == "constant" or cfg.guess == "pi":
+def _initial_guess(args, system, problem) -> np.ndarray:
+    kind, _, rest = args.guess.partition(":")
+    m, N = system.dim, args.N
+    if kind == "constant" or args.guess == "pi":
         table = np.zeros((m, N))
         if kind == "pi":
             table[0] = np.pi
@@ -292,15 +282,15 @@ def _initial_guess(cfg: RunConfig, system, problem) -> np.ndarray:
         if missing:
             raise ValueError(f"solution file lacks the {missing[0]} column")
         return flatten([columns[f"x{k + 1}"] for k in range(m)])
-    raise ValueError(f"unknown guess descriptor {cfg.guess!r}")
+    raise ValueError(f"unknown guess descriptor {args.guess!r}")
 
 
-def _header_lines(cfg: RunConfig, params, system, result=None, extra=()):
-    lines = [f"model={cfg.model}", f"m={system.dim}",
-             f"omega={_fmt(system.omega)}", f"subharmonic={cfg.subharmonic}"]
-    if cfg.N is not None:  # simulate has no node count and no guess
-        lines.insert(1, f"N={cfg.N}")
-        lines.append(f"guess={cfg.guess}")
+def _header_lines(args, params, system, result=None, extra=()):
+    lines = [f"model={args.model}", f"m={system.dim}",
+             f"omega={_fmt(system.omega)}", f"subharmonic={args.subharmonic}"]
+    if "N" in args:  # simulate has no node count and no guess
+        lines.insert(1, f"N={args.N}")
+        lines.append(f"guess={args.guess}")
     for field in sorted(f.name for f in dataclasses.fields(params)):
         lines.append(f"param.{field}={_fmt(getattr(params, field))}")
     if result is not None:
@@ -327,10 +317,10 @@ def _write_csv(path, header_lines, column_names, columns):
             fh.write(text)
 
 
-def _state_columns(cfg: RunConfig, params, names, cols, states, xdot):
+def _state_columns(args, params, names, cols, states, xdot):
     """names and cols, then the states x1..xm, then the model's derived
     columns from ``xdot()``, which is called only if there are any."""
-    model = _MODELS[cfg.model]
+    model = _MODELS[args.model]
     names = names + [f"x{k + 1}" for k in range(len(states))]
     cols = cols + list(states)
     if model.derive is not None:
@@ -340,17 +330,17 @@ def _state_columns(cfg: RunConfig, params, names, cols, states, xdot):
 
 
 def cmd_solve(args) -> int:
-    cfg = _resolve_config(args)
-    params, system, problem = _instantiate(cfg)
-    X0 = _initial_guess(cfg, system, problem)
+    _resolve_config(args)
+    params, system, problem = _instantiate(args)
+    X0 = _initial_guess(args, system, problem)
     result = newton_solve(problem, X0)
     nodes = problem.grid.nodes
     names, cols = _state_columns(
-        cfg, params, ["phase", "tau"],
-        [nodes, cfg.subharmonic * nodes / system.omega],
-        unflatten(result.X, system.dim, cfg.N),
+        args, params, ["phase", "tau"],
+        [nodes, args.subharmonic * nodes / system.omega],
+        unflatten(result.X, system.dim, args.N),
         lambda: node_derivatives(problem, result.X))
-    _write_csv(cfg.out, _header_lines(cfg, params, system, result),
+    _write_csv(args.out, _header_lines(args, params, system, result),
                names, cols)
     print(f"residual {result.residual_norm:.3e} after {result.iterations} "
           f"iteration(s), converged={result.converged}", file=sys.stderr)
@@ -372,12 +362,12 @@ def _parse_sweep_spec(spec: str) -> SweepConfig:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve_config(args)
+    _resolve_config(args)
     spec = _parse_sweep_spec(args.sweep)
     name = spec.parameter_name
     # the guess and the header are those of the sweep's first point
-    cfg = dataclasses.replace(cfg, params={**cfg.params, name: spec.start})
-    params, system, problem = _instantiate(cfg)
+    args.params[name] = spec.start
+    params, system, problem = _instantiate(args)
     component = args.component
     if not 0 <= component < system.dim:
         raise ValueError(
@@ -386,10 +376,10 @@ def cmd_sweep(args) -> int:
 
     def family(p):
         # the names are checked: a point builds only its record and problem
-        params_p = _MODELS[cfg.model].params(**{**cfg.params, name: p})
-        return CollocationProblem.build(_system(cfg, params_p), cfg.N)
+        params_p = _MODELS[args.model].params(**{**args.params, name: p})
+        return CollocationProblem.build(_system(args, params_p), args.N)
 
-    branch = sweep(family, _initial_guess(cfg, system, problem), spec)
+    branch = sweep(family, _initial_guess(args, system, problem), spec)
     results = [result for _, result in branch.points]
     hi, lo = extract_extrema(problem.grid, np.array([r.X for r in results]),
                              component)
@@ -398,7 +388,7 @@ def cmd_sweep(args) -> int:
                [1 if r.converged else 0 for r in results]]
     extra = [f"sweep={args.sweep}", f"component={component}",
              f"status={branch.status}"]
-    _write_csv(cfg.out, _header_lines(cfg, params, system, extra=extra),
+    _write_csv(args.out, _header_lines(args, params, system, extra=extra),
                ["parameter", "component", "max", "min", "iterations",
                 "converged"], columns)
     why = f" ({branch.reason})" if branch.reason else ""
@@ -440,9 +430,9 @@ def cmd_interp(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args)
-    params, system, _ = _instantiate(cfg)
-    model = _MODELS[cfg.model]
+    _resolve_config(args)
+    params, system, _ = _instantiate(args)
+    model = _MODELS[args.model]
     cycles = args.cycles if args.cycles is not None else model.cycles
     steps = args.steps if args.steps is not None else model.steps
     x0 = (np.zeros(system.dim) if args.initial is None else
@@ -450,12 +440,12 @@ def cmd_simulate(args) -> int:
                     for tok in args.initial.split(",")]))
     res = rk4_transient(system, TransientConfig(cycles, steps, x0))
     names, cols = _state_columns(
-        cfg, params, ["tau"], [res.times], res.states,
+        args, params, ["tau"], [res.times], res.states,
         lambda: system.rhs_table(res.states,
                                  _wrap_phase(system.omega * res.times),
                                  system.params))
     extra = [f"cycles={cycles}", f"steps_per_cycle={steps}"]
-    _write_csv(cfg.out, _header_lines(cfg, params, system, extra=extra),
+    _write_csv(args.out, _header_lines(args, params, system, extra=extra),
                names, cols)
     return 0
 

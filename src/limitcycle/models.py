@@ -264,10 +264,10 @@ def diode_voltages(x1: np.ndarray, x3: np.ndarray, vs: np.ndarray,
                    p: CircuitParams) -> np.ndarray:
     """:func:`diode_voltage` elementwise over arrays."""
     c, w = _diode_omega(x1, x3, vs, p)
-    k = p.derived
+    a, isr = p._diode[:2]
     # log(0) where w underflows is computed, then discarded by the where
     with np.errstate(divide="ignore"):
-        return np.where(w <= 1.0, c - k.a * w, k.a * np.log(k.a * w / k.isr))
+        return np.where(w <= 1.0, c - a * w, a * np.log(a * w / isr))
 
 
 def _circuit_derivatives(x1, x2, x3, vs, vd, e, p):

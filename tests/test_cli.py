@@ -826,6 +826,33 @@ class TestConfigFile:
             assert main(["solve", "--config", str(path)]) == 2, path
             assert named in _error_message(capsys), path
 
+    def test_of_several_errors_the_first_in_order_is_reported(
+            self, tmp_path, capsys):
+        # the options are checked in the order N, params, out, subharmonic:
+        # a malformed config subharmonic is reported only after the others
+        no_n = tmp_path / "no_n.ini"
+        no_n.write_text("[run]\nsubharmonic = x\n")
+        with_n = tmp_path / "with_n.ini"
+        with_n.write_text("[run]\nn = 11\nsubharmonic = x\n")
+        out = tmp_path / "x.csv"
+        missing = tmp_path / "nodir" / "x.csv"
+        for ini, extra, message in [
+            (no_n, ["--out", str(out)],
+             "no node count given (flag --N or config [run] n)"),
+            (with_n, ["--param", "zz", "--out", str(out)],
+             "parameter override 'zz' is not NAME=VALUE"),
+            (with_n, ["--out", str(missing)],
+             f"[Errno 2] No such file or directory: {str(missing)!r}"),
+        ]:
+            assert main(["solve", "--model", "pendulum", "--config",
+                         str(ini)] + extra) == 2, message
+            assert _error_message(capsys) == message
+            assert not out.exists() and not missing.exists()
+        assert main(["solve", "--model", "pendulum", "--config", str(with_n),
+                     "--out", str(out)]) == 2
+        assert _error_message(capsys) == (
+            "config value subharmonic 'x' is not a valid number")
+
 
 class TestParserCache:
     def test_cached_parser_carries_no_state_between_calls(self, tmp_path,

@@ -162,6 +162,20 @@ class TestFailureModes:
         assert r.residual_norm <= start_norm
         assert r.residual_norm == np.max(np.abs(residual(prob, r.X)))
 
+    @pytest.mark.xfail(strict=True, reason="the tolerance 1e-10 (1 + "
+                       "||F(X0)||) is set by the guess, so a far guess makes "
+                       "it huge (ROADMAP, Newton leftovers)")
+    def test_far_guess_converges_only_to_the_cycle(self):
+        # x1 = 1e12 V at every node: tol is about 5e6, and the first
+        # iterate, at max x1 = -0.09 V and residual 2.4e5, is taken as
+        # converged; the cycle has max x1 = 4.726 V
+        prob = CollocationProblem.build(circuit_system(CircuitParams()), 51)
+        cycle = newton_solve(prob, np.zeros(prob.size)).X
+        X0 = np.zeros(prob.size)
+        X0[:51] = 1e12
+        r = newton_solve(prob, X0)
+        assert not r.converged or np.max(np.abs(r.X - cycle)) <= 1e-6
+
     def test_shape_mismatch_rejected(self):
         prob = CollocationProblem.build(linear_system(1.0), 5)
         with pytest.raises(ValueError, match="shape"):

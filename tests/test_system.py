@@ -309,12 +309,34 @@ class TestJacobianProduct:
             assert prob.jump_nodes.size
 
 
+def _coupled_row_system():
+    # m = 3 whose first row, x1' = 0.5*x2 - 2*x3 + cos t, is equal at every
+    # node and couples both other components: x3, its largest coefficient,
+    # is eliminated through it, so u != k, and x2 is a column i != k, u
+    def rhs(x, t, p):
+        return (0.5 * x[1] - 2.0 * x[2] + math.cos(t),
+                -math.sin(x[1]) + 0.2 * x[0] * x[2],
+                -x[2] - 0.1 * x[2] ** 3 + x[0] + 0.3 * math.sin(t))
+
+    def jac(table, t, p):
+        x1, x2, x3 = table
+        blocks = np.zeros((t.size, 3, 3))
+        blocks[:, 0] = [0.0, 0.5, -2.0]
+        blocks[:, 1] = np.column_stack([0.2 * x3, -np.cos(x2), 0.2 * x1])
+        blocks[:, 2, 0] = 1.0
+        blocks[:, 2, 2] = -1.0 - 0.3 * x3 ** 2
+        return blocks
+
+    return PeriodicSystem(dim=3, rhs=rhs, jac=jac, omega=1.3)
+
+
 class TestSchurComplement:
     @pytest.mark.parametrize("system, plan", [
         (circuit_system(CircuitParams()), (1, 1)),
         (pendulum_system(PendulumParams(a=0.1, b=181.0, omega=17.5),
                          subharmonic=2), (0, 1)),
-    ], ids=["circuit", "pendulum"])
+        (_coupled_row_system(), (0, 2)),
+    ], ids=["circuit", "pendulum", "coupled-row-u!=k"])
     def test_matches_the_dense_elimination(self, system, plan):
         # S = J[r != k, i != u] - J[r != k, u] Pi^-1 J[k, i != u], and
         # reduce, a solve with S and recover solve J x = b
