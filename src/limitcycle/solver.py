@@ -5,7 +5,7 @@ is halved until the norm decreases, down to a floor fraction; running
 out of damping or iterations is reported in the result, not raised.
 The linear solves are dense LU with partial pivoting, reused while cheap.
 On large grids J is factored in float32, which takes about half the time
-of float64, and every step is refined to float64 accuracy against it.
+of float64, and a step is refined against it to a linear residual of tol/10.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ _STEP_FRACTIONS = tuple(0.5**k for k in range(21))
 # refinement stops at a correction this small relative to the step: the
 # error left is below the cond(J) * eps (cond(J) ~ 1e4) of a fresh LU solve
 _REFINE_FLOOR = 1e-12
+# a float32 step stops refining at a linear residual of this share of tol
+_ENOUGH = 0.1
 # from this many unknowns mN on, J is assembled and factored in float32:
 # below it the refinement sweeps cost about what the cheaper LU saves
 # (circuit solves at mN = 201-273 even or slower, at 303 faster)
@@ -85,13 +87,14 @@ def lu_solve(factor, b: np.ndarray) -> np.ndarray:
 
 
 def _solve(problem: CollocationProblem, factor, blocks: np.ndarray,
-           b: np.ndarray) -> np.ndarray | None:
+           b: np.ndarray, enough: float = 0.0) -> np.ndarray | None:
     """x with J x = b to float64 accuracy, J having node blocks ``blocks``,
     against ``factor`` = (lu, piv, plan, the blocks it was made from); None
     when that would cost more than factoring J.  A float64 factor of these
     very blocks solves directly, with one sweep against J after a Schur
     solve (S's cond can exceed J's).  Any other, a float32 LU or one of an
-    earlier Jacobian, is refined against with float64 residuals."""
+    earlier Jacobian, is refined against with float64 residuals; on a
+    float32 LU, only until max|b - J x| <= ``enough``."""
     lu, _, plan, made_from = factor
     if lu.dtype == np.float64 and blocks is made_from:
         x = lu_solve(factor, b)
@@ -104,7 +107,10 @@ def _solve(problem: CollocationProblem, factor, blocks: np.ndarray,
     x = lu_solve(factor, b)
     last = float(np.max(np.abs(x)))
     for sweep in range(budget):
-        dx = lu_solve(factor, b - jacobian_product(problem, blocks, x))
+        r = b - jacobian_product(problem, blocks, x)
+        if lu.dtype == np.float32 and np.max(np.abs(r)) <= enough:
+            return x
+        dx = lu_solve(factor, r)
         x += dx
         size = float(np.max(np.abs(dx)))
         if size <= _REFINE_FLOOR * np.max(np.abs(x)):
@@ -152,6 +158,7 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray) -> SolveResult:
         raise RhsEvaluationError(
             f"rhs is not finite at node index {node} of the initial state")
     tol = 1e-10 * (1.0 + scale)
+    enough = _ENOUGH * tol
 
     R = residual(problem, X, F)
     norm = float(np.abs(R).max())
@@ -164,7 +171,8 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray) -> SolveResult:
         bad = np.flatnonzero(~np.isfinite(blocks).all(axis=(1, 2)))
         if bad.size:
             raise ValueError(f"Jacobian is not finite at node index {bad[0]}")
-        delta = None if factor is None else _solve(problem, factor, blocks, -R)
+        delta = None if factor is None else _solve(problem, factor, blocks,
+                                                   -R, enough)
         if delta is None:
             large = problem.size >= _SINGLE_PRECISION_SIZE
             plan = _elimination(problem, blocks)
@@ -176,7 +184,7 @@ def newton_solve(problem: CollocationProblem, X0: np.ndarray) -> SolveResult:
                 # on the U diagonal negligible for mN at the factor's precision
                 pivots = np.abs(np.diag(factor[0]))
                 if pivots.min() > problem.size * np.finfo(dtype).eps * pivots.max():
-                    delta = _solve(problem, factor, blocks, -R)
+                    delta = _solve(problem, factor, blocks, -R, enough)
                     if delta is not None:
                         break
             else:

@@ -29,7 +29,7 @@ from limitcycle.system import (
     residual,
     rhs_stack,
 )
-from limitcycle.warmstart import guess_near_pi
+from limitcycle.warmstart import TransientConfig, guess_near_pi, rk4_transient
 
 
 def _pi_state(N):
@@ -401,10 +401,11 @@ class TestSinglePrecisionFactor:
 
     def test_float64_factor_when_refinement_gives_up(self, monkeypatch,
                                                       factor_dtypes):
-        # no sweep reaches a floor this far below float64 rounding, so
-        # every float32 factor is given up on and J factored again in
-        # float64, and no kept factor is refined either
+        # no sweep reaches a floor this far below float64 rounding, nor
+        # a zero linear residual, so every float32 factor is given up on
+        # and J factored again in float64, and no kept factor is refined
         monkeypatch.setattr(solver, "_REFINE_FLOOR", 1e-30)
+        monkeypatch.setattr(solver, "_ENOUGH", 0.0)
         prob = CollocationProblem.build(circuit_system(CircuitParams()), 101)
         _assert_matches_fresh_lu(prob, np.zeros(prob.size))
         factor_dtypes.clear()
@@ -433,7 +434,9 @@ class TestOneSolveRoutine:
     def test_circuit_solves_on_float32_factors(self, solve_counts, N):
         prob = CollocationProblem.build(circuit_system(CircuitParams()), N)
         assert newton_solve(prob, np.zeros(prob.size)).converged
-        assert solve_counts == {"lu_solve": 22, "dgetrs": 0, "sgetrs": 22}
+        solves = {101: 13, 251: 13, 501: 14}[N]
+        assert solve_counts == {"lu_solve": solves, "dgetrs": 0,
+                                "sgetrs": solves}
 
     def test_period_two_seed_solves_on_float64_factors(self, solve_counts):
         prob = CollocationProblem.build(
@@ -518,6 +521,43 @@ class TestSolveToFloat64Accuracy:
             factor, b - jacobian_product(problem, factor[3], want))
         assert solver._solve(problem, factor, factor[3], b).tobytes() == \
             want.tobytes()
+
+
+class TestRefineToTheNewtonTolerance:
+    # a float32 step stops refining at a linear residual of tol/10; the
+    # draws are the three of seeds 0-19 whose X moves the most (8.0e-12 to
+    # 9.3e-12 of max|X|), each from zeros and from a 3-cycle RK4 start
+    @pytest.mark.parametrize("seed", [7, 12, 14])
+    @pytest.mark.parametrize("N", [101, 251])
+    def test_stop_costs_no_iteration_and_no_lu(self, monkeypatch, seed, N):
+        A_m, R4 = np.random.default_rng(seed).uniform([3.0, 1.0],
+                                                      [12.0, 3.0])
+        system = circuit_system(CircuitParams(A_m=A_m, R4=R4))
+        prob = CollocationProblem.build(system, N)
+        warm = rk4_transient(system, TransientConfig(3, 8 * N, np.zeros(3)),
+                             grid=prob.grid).node_state
+        for X0 in (np.zeros(prob.size), warm):
+            r = newton_solve(prob, X0)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_ENOUGH", 0.0)
+                full = newton_solve(prob, X0)
+            assert r.converged and full.converged
+            assert (r.iterations, r.factorizations) == (
+                full.iterations, full.factorizations)
+            assert r.residual_norm <= r.tol
+            np.testing.assert_allclose(r.X, full.X, rtol=0,
+                                       atol=1e-10 * np.max(np.abs(full.X)))
+
+    def test_float64_factors_ignore_enough(self, period_two):
+        # a stale float64 factor, as the pendulum keeps, refines to the
+        # floor whatever the linear residual it is offered
+        problem, X = period_two
+        factor = _factor_at(problem, X * (1 + 1e-3), np.float64)
+        blocks, b = jacobian_blocks(problem, X), -residual(problem, X)
+        x = solver._solve(problem, factor, blocks, b)
+        assert x is not None
+        assert solver._solve(problem, factor, blocks, b,
+                             enough=1e300).tobytes() == x.tobytes()
 
 
 class TestFactorRoutine:
