@@ -179,13 +179,13 @@ def _check_writable(path) -> None:
     removed again.  Pipes and devices are left to the write itself."""
     if path is None:
         return
-    existed = os.path.lexists(path)
+    existed = os.path.exists(path)  # follows a symlink, as the write does
     if existed and not (os.path.isfile(path) or os.path.isdir(path)):
         return
     with open(path, "a"):
         pass
     if not existed:
-        os.remove(path)
+        os.remove(os.path.realpath(path))  # the target, not the link
 
 
 def _instantiate(args):
@@ -398,6 +398,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_interp(args) -> int:
+    _check_writable(args.out)
     header, grid, columns = _read_solution(args.input)
     M = args.points if args.points is not None else 8 * grid.size
     if M < 1:
@@ -451,6 +452,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    _check_writable(args.out)
     D = diff_matrix_equispaced(args.N)
     lines = [f"# N={args.N}", "# kind=equispaced"]
     names = [f"c{j}" for j in range(args.N)]

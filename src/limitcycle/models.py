@@ -31,7 +31,6 @@ __all__ = [
     "square_wave",
     "diode_residual",
     "diode_voltage",
-    "diode_voltages",
     "circuit_outputs",
 ]
 
@@ -260,8 +259,8 @@ def diode_voltage(x1: float, x3: float, vs: float, p: CircuitParams) -> float:
     return c - a * w if w <= 1.0 else a * _log(a * w / isr)
 
 
-def diode_voltages(x1: np.ndarray, x3: np.ndarray, vs: np.ndarray,
-                   p: CircuitParams) -> np.ndarray:
+def _diode_voltages(x1: np.ndarray, x3: np.ndarray, vs: np.ndarray,
+                    p: CircuitParams) -> np.ndarray:
     """:func:`diode_voltage` elementwise over arrays."""
     c, w = _diode_omega(x1, x3, vs, p)
     a, isr = p._diode[:2]
@@ -283,7 +282,7 @@ def _circuit_derivatives(x1, x2, x3, vs, vd, e, p):
 def _circuit_rhs_table(table, t, p):
     x1, x2, x3 = table
     vs = np.where(t >= 0.0, p.A_m, -p.A_m)
-    vd = diode_voltages(x1, x3, vs, p)
+    vd = _diode_voltages(x1, x3, vs, p)
     e = np.exp(np.minimum(vd / p.derived.a, 700.0))
     return np.array(_circuit_derivatives(x1, x2, x3, vs, vd, e, p))
 
@@ -314,7 +313,7 @@ def circuit_system(p: CircuitParams) -> PeriodicSystem:
 
     The diode voltage is an implicit algebraic unknown; every rhs
     evaluation eliminates it in closed form through :func:`diode_voltage`
-    (:func:`diode_voltages` in the table form) before the three
+    (its elementwise form over arrays in the table form) before the three
     derivatives are assembled.  The analytic Jacobian follows from
     dV_d/dV_lin = 1/(1 + w).  The source jumps at the phases 0 and pi,
     declared as the system's breakpoints.  RK4 calls the per-state rhs,

@@ -26,7 +26,6 @@ __all__ = [
     "equispaced_phases",
     "equispaced_nodes",
     "diff_matrix_equispaced",
-    "apply_derivative",
     "trig_interpolate",
 ]
 
@@ -116,30 +115,13 @@ def diff_matrix_equispaced(N: int) -> DiffMatrix:
     return DiffMatrix(entries=entries, grid=grid)
 
 
-def apply_derivative(D: DiffMatrix, x: np.ndarray) -> np.ndarray:
-    """Apply the differentiation matrix to nodal values x.
-
-    x holds nodal values, shape (N,) or (K, N), each row one independent
-    vector.  This evaluates ``(x - x[..., :1]) @ D.T``: since D
-    annihilates constants this equals ``x @ D.T`` analytically, and it
-    keeps constant vectors exactly in the kernel in floating point as
-    well (row sums of D only cancel to rounding).
-    """
-    x = np.asarray(x, dtype=float)
-    N = D.grid.size
-    if x.ndim not in (1, 2) or x.shape[-1] != N:
-        raise ValueError(
-            f"value array has shape {x.shape}, expected ({N},) or (K, {N})"
-        )
-    return _times_dt(D, x - x[..., :1])
-
-
 def _times_dt(D: DiffMatrix, y: np.ndarray) -> np.ndarray:
-    """``y @ D.entries.T`` for y (N,) or (K, N) on scipy's BLAS, which
+    """``y @ D.entries.T`` for a (K, N) table y on scipy's BLAS, which
     factors J: numpy's own OpenBLAS threads would spin on against the LU.
-    gemv for one row and gemm otherwise, as numpy does, so bitwise equal."""
-    if y.ndim == 1:
-        return dgemv(1.0, D.entries.T, y, trans=1)
+    gemv for one row and gemm otherwise, as numpy does, so bitwise equal.
+    The residual and node derivatives pass ``table - table[:, :1]``: D's
+    row sums cancel only to rounding, and subtracting each row's first
+    value keeps constants exactly in its kernel."""
     if len(y) == 1:
         return dgemv(1.0, D.entries.T, y[0], trans=1)[None]
     return dgemm(1.0, D.entries.T, y.T, trans_a=1).T

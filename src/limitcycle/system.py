@@ -32,8 +32,7 @@ import numpy as np
 from scipy.linalg.blas import dgemv
 
 from .spectral import (DiffMatrix, NodeGrid, _second_derivative,
-                       _shifted_inverse, _times_dt, apply_derivative,
-                       diff_matrix_equispaced)
+                       _shifted_inverse, _times_dt, diff_matrix_equispaced)
 
 __all__ = [
     "PeriodicSystem",
@@ -246,7 +245,6 @@ def residual(problem: CollocationProblem, X: np.ndarray,
         F = rhs_stack(problem, X)
     m, N = problem.system.dim, problem.grid.size
     table = unflatten(X, m, N)
-    # apply_derivative's arithmetic, without its shape check: unflatten's holds
     R = problem.omega_eff * _times_dt(problem.D, table - table[:, :1])
     R -= unflatten(F, m, N)
     return R.reshape(-1)
@@ -262,7 +260,7 @@ def node_derivatives(problem: CollocationProblem, X: np.ndarray) -> np.ndarray:
     """
     system = problem.system
     table = unflatten(X, system.dim, problem.grid.size)
-    dots = problem.omega_eff * apply_derivative(problem.D, table)
+    dots = problem.omega_eff * _times_dt(problem.D, table - table[:, :1])
     for j in problem.jump_nodes:
         dots[:, j] = system.rhs(table[:, j], problem.forcing_phases[j], system.params)
     return dots

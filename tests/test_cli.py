@@ -542,6 +542,49 @@ class TestOutPath:
             assert str(target) in _error_message(capsys)
         assert list(tmp_path.iterdir()) == []
 
+    def test_symlink_into_a_missing_directory_exits_2_before_the_work(
+            self, tmp_path, monkeypatch, capsys):
+        def never(*a, **k):
+            raise AssertionError("newton_solve ran although --out is unwritable")
+
+        monkeypatch.setattr(cli, "newton_solve", never)
+        link = tmp_path / "link.csv"
+        link.symlink_to(tmp_path / "nodir" / "x.csv")
+        assert main(["solve", "--model", "circuit", "--N", "251", "--guess",
+                     "rk4:20", "--out", str(link)]) == 2
+        assert _error_message(capsys) == (
+            f"[Errno 2] No such file or directory: {str(link)!r}")
+        assert link.is_symlink() and list(tmp_path.iterdir()) == [link]
+
+    def test_symlink_into_a_directory_writes_the_target(self, tmp_path):
+        # the check creates and removes the link's target, not the link
+        (tmp_path / "real").mkdir()
+        link, target = tmp_path / "link.csv", tmp_path / "real" / "out.csv"
+        link.symlink_to(target)
+        assert main(["solve", "--model", "linear", "--N", "11",
+                     "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text().startswith("# model=linear\n")
+        assert sorted(tmp_path.rglob("*")) == [link, tmp_path / "real", target]
+
+    @pytest.mark.parametrize("command,work", [
+        (["interp", "--input", "sol.csv"], "trig_interpolate"),
+        (["matrix", "--N", "1001"], "diff_matrix_equispaced"),
+    ], ids=["interp", "matrix"])
+    def test_interp_and_matrix_check_out_before_the_work(
+            self, command, work, tmp_path, monkeypatch, capsys):
+        def never(*a, **k):
+            raise AssertionError(f"{work} ran although --out is unwritable")
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--model", "linear", "--N", "11",
+                     "--out", "sol.csv"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, work, never)
+        target = tmp_path / "nodir" / "x.csv"
+        assert main(command + ["--out", str(target)]) == 2
+        assert str(target) in _error_message(capsys)
+
     def test_stdout_dev_null_and_blank_lines(self, tmp_path, capsys):
         args = ["solve", "--model", "linear", "--N", "11"]
         out = tmp_path / "lin.csv"

@@ -14,11 +14,11 @@ from limitcycle.models import (
     PendulumParams,
     _circuit_derivatives,
     _diode_omega,
+    _diode_voltages,
     circuit_outputs,
     circuit_system,
     diode_residual,
     diode_voltage,
-    diode_voltages,
     linear_system,
     pendulum_system,
     square_wave,
@@ -152,7 +152,7 @@ class TestDiode:
         assert vd == (vs - x1) + p.R2 * x3 + (p.R1 + p.R2) * p.i_s
         scale = (p.R1 + p.R2) * (abs(vs) + abs(x1) + p.R2 * abs(x3))
         assert abs(diode_residual(vd, x1, x3, vs, p)) <= 1e-13 * scale
-        assert diode_voltages(np.array([x1]), np.array([x3]), vs, p)[0] == vd
+        assert _diode_voltages(np.array([x1]), np.array([x3]), vs, p)[0] == vd
 
     def test_large_conducting_argument(self):
         # Vs - x1 ~ +1e7: the argument is about +4e8, V_d comes from the
@@ -163,7 +163,7 @@ class TestDiode:
         assert 0.5 < vd < 1.5
         scale = (p.R1 + p.R2) * (abs(vs) + abs(x1) + p.R2 * abs(x3))
         assert abs(diode_residual(vd, x1, x3, vs, p)) <= 1e-13 * scale
-        assert diode_voltages(np.array([x1]), np.array([x3]), vs, p)[0] == (
+        assert _diode_voltages(np.array([x1]), np.array([x3]), vs, p)[0] == (
             pytest.approx(vd, rel=1e-15))
         f = circuit_system(p).rhs(np.array([x1, 0.0, x3]), 0.5, p)
         assert np.all(np.isfinite(f))
@@ -502,7 +502,7 @@ class TestDiodeTable:
         p = CircuitParams()
         x1, x3, pos = (np.array(c) for c in zip(*cols))
         vs = np.where(pos, p.A_m, -p.A_m)
-        vd = diode_voltages(x1, x3, vs, p)
+        vd = _diode_voltages(x1, x3, vs, p)
         for k in range(vd.size):
             tol = 1e-13 * (p.R1 + p.R2) * max(1.0, abs(vs[k]))
             assert abs(diode_residual(vd[k], x1[k], x3[k], vs[k], p)) <= tol
@@ -514,7 +514,7 @@ class TestDiodeTable:
     def test_large_states_solve_to_their_terms_scale(self, cols):
         p = CircuitParams()
         x1, x3, vs = (np.array(c) for c in zip(*cols))
-        vd = diode_voltages(x1, x3, vs, p)
+        vd = _diode_voltages(x1, x3, vs, p)
         for k in range(vd.size):
             scale = (p.R1 + p.R2) * max(
                 1.0, abs(vs[k]) + abs(x1[k]) + p.R2 * abs(x3[k]))
@@ -523,8 +523,8 @@ class TestDiodeTable:
     def test_large_state_stops_on_closed_bracket(self):
         p = CircuitParams()
         x1, x3, vs = 357229.2895600515, 1258344.163007977, -5.6
-        vd = diode_voltages(np.array([x1, 1.0]), np.array([x3, 0.5]),
-                            np.array([vs, 5.6]), p)
+        vd = _diode_voltages(np.array([x1, 1.0]), np.array([x3, 0.5]),
+                             np.array([vs, 5.6]), p)
         scale = (p.R1 + p.R2) * (abs(vs) + abs(x1) + p.R2 * abs(x3))
         assert abs(diode_residual(vd[0], x1, x3, vs, p)) <= 1e-13 * scale
         assert vd[1] == pytest.approx(diode_voltage(1.0, 0.5, 5.6, p), abs=1e-12)

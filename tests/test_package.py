@@ -4,10 +4,15 @@ The package ``__init__`` re-exports nothing, so a public name is declared
 once, in its module's ``__all__``.  Each module is imported in a fresh
 interpreter, where no sibling has been imported first, with warnings
 turned into errors.  A fresh interpreter also shows when ``scipy.special``,
-which only the circuit's diode needs, is first imported.
+which only the circuit's diode needs, is first imported.  Every public
+name has a consumer: the solver, the CLI or the acceptance gate.
 """
 
+import ast
+import importlib
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,3 +61,42 @@ def test_scipy_special_waits_for_the_first_circuit_evaluation(tmp_path):
         "system.rhs([1.0, 0.0, 0.5], 0.5, p)\n"
         "assert 'scipy.special' in sys.modules\n",
         cwd=tmp_path)
+
+
+def _from_imports(path):
+    """(module, name) of every ``from .module`` or ``from
+    limitcycle.module`` import in the file at path."""
+    pairs = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module if node.level else (
+                node.module.partition("limitcycle.")[2])
+            pairs.update((module, alias.name) for alias in node.names)
+    return pairs
+
+
+def test_every_public_name_has_a_consumer():
+    # a name in __all__ is imported by the solver, the CLI or the
+    # acceptance gate, is returned (by annotation) by a public callable
+    # of its own module, or is the console script's entry point
+    consumed = set()
+    for path in [ROOT / "src" / "limitcycle" / "solver.py",
+                 ROOT / "src" / "limitcycle" / "cli.py",
+                 ROOT / "tests" / "test_acceptance.py"]:
+        consumed |= _from_imports(path)
+    # Python 3.10 has no tomllib
+    script = re.search(r'^\[project\.scripts\]\n[\w-]+\s*=\s*'
+                       r'"limitcycle\.(\w+):(\w+)"$',
+                       (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
+    assert script, "no limitcycle entry under [project.scripts]"
+    consumed.add(script.groups())
+    unconsumed = []
+    for module in MODULES:
+        m = importlib.import_module(f"limitcycle.{module}")
+        public = [inspect.unwrap(getattr(m, name)) for name in m.__all__]
+        returned = {f.__annotations__.get("return") for f in public
+                    if inspect.isfunction(f)}
+        unconsumed += [f"{module}.{name}" for name in m.__all__
+                       if (module, name) not in consumed
+                       and name not in returned]
+    assert unconsumed == []

@@ -16,7 +16,7 @@ from limitcycle.models import (
     square_wave,
 )
 from limitcycle.solver import newton_solve
-from limitcycle.spectral import apply_derivative, equispaced_nodes
+from limitcycle.spectral import equispaced_nodes
 from limitcycle.system import (
     CollocationProblem,
     PeriodicSystem,
@@ -379,6 +379,28 @@ class TestNodeDerivatives:
         np.testing.assert_allclose(
             dots[0], amp * (-np.sin(t) + np.cos(t)) / 2.0, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("N, system", [
+        (51, circuit_system(CircuitParams())),
+        (251, circuit_system(CircuitParams())),
+        (101, pendulum_system(PendulumParams(a=0.1, b=181.0, omega=17.5),
+                              subharmonic=2)),
+    ], ids=["circuit-51", "circuit-251", "pendulum-period-2-101"])
+    def test_bytes_of_the_anchored_numpy_product(self, N, system):
+        # the anchored product omega_eff * ((table - table[:, :1]) @ D.T)
+        # off the jump nodes and the rhs itself on them, byte for byte:
+        # the circuit's i_d and V0 columns are computed from this table
+        prob = CollocationProblem.build(system, N)
+        table = np.random.default_rng(N).uniform(-2.0, 2.0, (system.dim, N))
+        expected = prob.omega_eff * ((table - table[:, :1]) @ prob.D.entries.T)
+        # the circuit has one node on its square wave's jump at pi
+        assert len(prob.jump_nodes) == (1 if system.dim == 3 else 0)
+        for j in prob.jump_nodes:
+            expected[:, j] = system.rhs(table[:, j], prob.forcing_phases[j],
+                                        system.params)
+        got = node_derivatives(prob, flatten(table))
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
 
 def _square_rhs(x, t, p):
     return np.array([-x[0] + square_wave(t, 1.0)])
@@ -532,7 +554,7 @@ class TestTableForm:
         table = np.vstack([rng.uniform(2, 5, N), rng.uniform(-1, 1, N),
                            rng.uniform(-2, 2, N)])
         R = unflatten(residual(prob, flatten(table)), 3, N)
-        deriv = prob.omega_eff * apply_derivative(prob.D, table)
+        deriv = prob.omega_eff * ((table - table[:, :1]) @ prob.D.entries.T)
         before, after = prob.eval_phases[[j, N]]
         sides = [np.asarray(sys.rhs(table[:, j], phase, p))
                  for phase in (before, after)]
