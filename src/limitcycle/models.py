@@ -15,7 +15,6 @@ import functools
 import math
 from dataclasses import dataclass
 from math import exp as _exp, log as _log  # for diode_voltage
-from typing import NamedTuple
 
 import numpy as np
 
@@ -120,20 +119,6 @@ def linear_system(p: float | LinearParams = 1.0) -> PeriodicSystem:
 # diode commutation circuit
 
 
-class _CircuitConstants(NamedTuple):
-    """Constants derived from :class:`CircuitParams`, computed once."""
-
-    a: float          # eta * V_T
-    isr: float        # (R1 + R2) * i_s
-    log_isr_a: float  # ln(isr / a)
-    c1_rsum: float    # C1 * (R1 + R2), the x1' denominator
-    c2_r34: float     # C2 * (R3 + R4), the x2' denominator
-    r34: float        # R3 + R4
-    g2: float         # R4 / (R3 + R4), the x3' coefficient of x2
-    g3: float         # R3 * R4 / (R3 + R4), the x3' coefficient of x3
-    is_r1: float      # i_s * R1
-
-
 @dataclass(frozen=True)
 class CircuitParams:
     """Commutation-circuit elements (SI units).
@@ -178,27 +163,13 @@ class CircuitParams:
         return 2.0 * math.pi / self.T_period
 
     @functools.cached_property
-    def derived(self) -> _CircuitConstants:
-        """The constants every rhs, diode and Jacobian evaluation uses,
-        computed on first use and kept with the instance."""
-        a = self.eta * self.thermal_voltage
-        rsum = self.R1 + self.R2
-        isr = rsum * self.i_s
-        r34 = self.R3 + self.R4
-        return _CircuitConstants(a=a, isr=isr, log_isr_a=math.log(isr / a),
-                                 c1_rsum=self.C1 * rsum,
-                                 c2_r34=self.C2 * r34, r34=r34,
-                                 g2=self.R4 / r34,
-                                 g3=self.R3 * self.R4 / r34,
-                                 is_r1=self.i_s * self.R1)
-
-    @functools.cached_property
     def _diode(self) -> tuple:
         """(a, isr, ln(isr/a), R2, wrightomega) for the diode; scipy.special
         is imported at the first diode evaluation, not with the package."""
         from scipy.special import wrightomega
-        k = self.derived
-        return k.a, k.isr, k.log_isr_a, self.R2, wrightomega
+        a = self.eta * self.thermal_voltage
+        isr = (self.R1 + self.R2) * self.i_s
+        return a, isr, math.log(isr / a), self.R2, wrightomega
 
 
 def square_wave(t: float, amplitude: float) -> float:
@@ -219,9 +190,8 @@ def diode_residual(vd: float, x1: float, x3: float, vs: float,
 
     g is strictly decreasing in V_d, so the root is unique.
     """
-    k = p.derived
-    e = math.exp(min(vd / k.a, 700.0))
-    return ((p.R1 + p.R2) * (vs - x1 - vd - k.is_r1 * (e - 1.0))
+    e = math.exp(min(vd / (p.eta * p.thermal_voltage), 700.0))
+    return ((p.R1 + p.R2) * (vs - x1 - vd - p.i_s * p.R1 * (e - 1.0))
             - p.R2 * (vs - x1 - p.R1 * x3 - vd))
 
 
@@ -269,45 +239,6 @@ def _diode_voltages(x1: np.ndarray, x3: np.ndarray, vs: np.ndarray,
         return np.where(w <= 1.0, c - a * w, a * np.log(a * w / isr))
 
 
-def _circuit_derivatives(x1, x2, x3, vs, vd, e, p):
-    """(x1', x2', x3') from the source vs, the diode voltage vd and
-    e = exp(vd / (eta * V_T)); scalars or arrays alike."""
-    k = p.derived
-    dx1 = (vs - x1 - p.R1 * x3 - vd) / k.c1_rsum
-    dx2 = (-x2 + p.R4 * x3) / k.c2_r34
-    dx3 = (vs - k.g2 * x2 - k.g3 * x3 - vd - k.is_r1 * (e - 1.0)) / p.L
-    return dx1, dx2, dx3
-
-
-def _circuit_rhs_table(table, t, p):
-    x1, x2, x3 = table
-    vs = np.where(t >= 0.0, p.A_m, -p.A_m)
-    vd = _diode_voltages(x1, x3, vs, p)
-    e = np.exp(np.minimum(vd / p.derived.a, 700.0))
-    return np.array(_circuit_derivatives(x1, x2, x3, vs, vd, e, p))
-
-
-def _circuit_jac(table, t, p):
-    x1, _, x3 = table
-    vs = np.where(t >= 0.0, p.A_m, -p.A_m)
-    w = _diode_omega(x1, x3, vs, p)[1]
-    k = p.derived
-    # V_d depends on x1 and x3 through V_lin = (Vs - x1) + R2*x3, with
-    # dV_d/dV_lin = 1/(1 + w); and since i_s*exp(V_d/a) = a*w/rsum,
-    # d/dV_d of V_d + i_s*R1*(exp(V_d/a) - 1) is 1 + R1*w/rsum
-    dvd = 1.0 / (1.0 + w)
-    dload = 1.0 + p.R1 * w / (p.R1 + p.R2)
-    blocks = np.zeros((t.size, 3, 3))
-    blocks[:, 0, 0] = -w * dvd / k.c1_rsum
-    blocks[:, 0, 2] = -(p.R1 + p.R2 * dvd) / k.c1_rsum
-    blocks[:, 1, 1] = -1.0 / k.c2_r34
-    blocks[:, 1, 2] = p.R4 / k.c2_r34
-    blocks[:, 2, 0] = dload * dvd / p.L
-    blocks[:, 2, 1] = -p.R4 / (k.r34 * p.L)
-    blocks[:, 2, 2] = -(k.g3 + dload * p.R2 * dvd) / p.L
-    return blocks
-
-
 def circuit_system(p: CircuitParams) -> PeriodicSystem:
     """Square-wave-driven commutation circuit, states (V_C1, V_C2, i_L).
 
@@ -318,24 +249,26 @@ def circuit_system(p: CircuitParams) -> PeriodicSystem:
     dV_d/dV_lin = 1/(1 + w).  The source jumps at the phases 0 and pi,
     declared as the system's breakpoints.  RK4 calls the per-state rhs,
     which works on floats and returns a tuple; on a single state it costs
-    about a twentieth of the table form.  It is built here, bound to
-    ``p``: it holds p's elements and ``p.derived`` as locals, refuses any
-    other params record, and does the arithmetic of
-    :func:`_circuit_derivatives` in the same order.  The table forms take
-    the element combinations from ``p.derived``, and both diode forms
-    theirs from ``p._diode``, each computed once per parameter record.
+    about a twentieth of the table form.  All three forms are built here,
+    bound to ``p``: they hold p's elements and their combinations, formed
+    once, as locals, and refuse any other params record.  Both diode forms
+    take theirs from ``p._diode``, formed once per parameter record.
     """
-    A_m, R1, R4, L = p.A_m, p.R1, p.R4, p.L
-    k = p.derived
-    a, c1_rsum, c2_r34 = k.a, k.c1_rsum, k.c2_r34
-    g2, g3, is_r1 = k.g2, k.g3, k.is_r1
+    A_m, R1, R2, R3, R4, L = p.A_m, p.R1, p.R2, p.R3, p.R4, p.L
+    a = p.eta * p.thermal_voltage
+    rsum, r34 = R1 + R2, R3 + R4
+    c1_rsum, c2_r34 = p.C1 * rsum, p.C2 * r34
+    g2, g3, is_r1 = R4 / r34, R3 * R4 / r34, p.i_s * R1
     exp = math.exp
+
+    def refuse():
+        raise ValueError("this circuit rhs is bound to another "
+                         "CircuitParams record; build the system for "
+                         "these params with circuit_system")
 
     def rhs(x, t, params):
         if params is not p:
-            raise ValueError("this circuit rhs is bound to another "
-                             "CircuitParams record; build the system for "
-                             "these params with circuit_system")
+            refuse()
         x1, x2, x3 = x
         vs = A_m if t >= 0.0 else -A_m
         # through the module global, so that a replaced diode_voltage applies
@@ -347,9 +280,40 @@ def circuit_system(p: CircuitParams) -> PeriodicSystem:
                 (-x2 + R4 * x3) / c2_r34,
                 (vs - g2 * x2 - g3 * x3 - vd - is_r1 * (e - 1.0)) / L)
 
-    return PeriodicSystem(dim=3, rhs=rhs,
-                          rhs_table=_circuit_rhs_table,
-                          jac=_circuit_jac,
+    def rhs_table(table, t, params):
+        if params is not p:
+            refuse()
+        x1, x2, x3 = table
+        vs = np.where(t >= 0.0, A_m, -A_m)
+        vd = _diode_voltages(x1, x3, vs, p)
+        e = np.exp(np.minimum(vd / a, 700.0))
+        return np.array([(vs - x1 - R1 * x3 - vd) / c1_rsum,
+                         (-x2 + R4 * x3) / c2_r34,
+                         (vs - g2 * x2 - g3 * x3 - vd
+                          - is_r1 * (e - 1.0)) / L])
+
+    def jac(table, t, params):
+        if params is not p:
+            refuse()
+        x1, _, x3 = table
+        vs = np.where(t >= 0.0, A_m, -A_m)
+        w = _diode_omega(x1, x3, vs, p)[1]
+        # V_d depends on x1 and x3 through V_lin = (Vs - x1) + R2*x3, with
+        # dV_d/dV_lin = 1/(1 + w); and since i_s*exp(V_d/a) = a*w/rsum,
+        # d/dV_d of V_d + i_s*R1*(exp(V_d/a) - 1) is 1 + R1*w/rsum
+        dvd = 1.0 / (1.0 + w)
+        dload = 1.0 + R1 * w / rsum
+        blocks = np.zeros((t.size, 3, 3))
+        blocks[:, 0, 0] = -w * dvd / c1_rsum
+        blocks[:, 0, 2] = -(R1 + R2 * dvd) / c1_rsum
+        blocks[:, 1, 1] = -1.0 / c2_r34
+        blocks[:, 1, 2] = R4 / c2_r34
+        blocks[:, 2, 0] = dload * dvd / L
+        blocks[:, 2, 1] = -R4 / (r34 * L)
+        blocks[:, 2, 2] = -(g3 + dload * R2 * dvd) / L
+        return blocks
+
+    return PeriodicSystem(dim=3, rhs=rhs, rhs_table=rhs_table, jac=jac,
                           omega=p.omega, params=p, breakpoints=(0.0, math.pi))
 
 

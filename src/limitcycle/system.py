@@ -23,6 +23,7 @@ wholly on one side, which would bias the mean by O(1/N).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Any, Callable, Sequence
@@ -88,12 +89,13 @@ class PeriodicSystem:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"system dimension must be >= 1, got {self.dim}")
-        if not (self.omega > 0):
-            raise ValueError(f"forcing frequency must be > 0, got {self.omega}")
-        if self.subharmonic < 1:
-            raise ValueError(
-                f"subharmonic order must be a positive integer, got {self.subharmonic}"
-            )
+        omega, s = self.omega, self.subharmonic
+        if not 0 < omega < np.inf:  # nan fails here too
+            raise ValueError(f"forcing frequency must be finite and > 0, got {omega}")
+        if not (isinstance(s, numbers.Integral) and s >= 1):
+            raise ValueError(f"subharmonic order must be a positive integer, got {s}")
+        if not 2.0 * np.pi * s / omega < np.inf:
+            raise ValueError(f"response period 2*pi*{s}/omega overflows, omega={omega}")
 
 
 def flatten(table: np.ndarray) -> np.ndarray:
@@ -200,7 +202,8 @@ def _node_values(problem: CollocationProblem, table: np.ndarray,
     One call of the system's ``rhs_table`` or ``jac`` over the evaluation
     plan, or of ``rhs`` at each column when it has no ``rhs_table``; a
     jump node gets the mean of its two columns.  A table form that
-    returns another shape raises ValueError.  A failure is raised as
+    returns another shape, or an rhs that returns other than m numbers,
+    raises ValueError.  A failure is raised as
     RhsEvaluationError, naming the failing column's node index in the
     per-column loop.
     """
@@ -217,10 +220,15 @@ def _node_values(problem: CollocationProblem, table: np.ndarray,
         else:
             values = np.empty(shape)
             for j in range(K):
-                values[:, j] = system.rhs(columns[:, j], phases[j], params)
+                f = system.rhs(columns[:, j], phases[j], params)
+                if np.size(f) != m:  # else one value would fill every row
+                    break
+                values[:, j] = f
     except Exception as exc:
         where = "over a node table" if j is None else f"at node index {nodes[j]}"
         raise RhsEvaluationError(f"{kind} evaluation failed {where}: {exc}") from exc
+    if form is None and np.size(f) != m:
+        raise ValueError(f"rhs returned {np.size(f)} values, expected {m}")
     if values.shape != shape:
         raise ValueError(f"{name} returned shape {values.shape}, expected {shape}")
     if kind == "rhs":

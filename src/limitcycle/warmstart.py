@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
@@ -63,12 +64,12 @@ class TransientConfig:
     initial_state: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.cycles < 1:
-            raise ValueError(f"cycles must be >= 1, got {self.cycles}")
-        if self.steps_per_cycle < 8:
-            raise ValueError(
-                f"steps_per_cycle must be >= 8, got {self.steps_per_cycle}"
-            )
+        for name, value, least in (("cycles", self.cycles, 1),
+                                   ("steps_per_cycle", self.steps_per_cycle, 8)):
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)

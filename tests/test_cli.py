@@ -322,18 +322,24 @@ class TestSolve:
         ("circuit", "C2=0", "C2"),
         ("circuit", "L=0", "L"),
         ("circuit", "R3=-2 R4=2", "R3 + R4"),
+        # omega = 2*pi/T_period overflows to inf
+        ("circuit", "T_period=1e-320",
+         "forcing frequency must be finite and > 0, got inf"),
+        # omega is finite, the response period 2*pi/omega is not
+        ("pendulum", "omega=1e-320",
+         "response period 2*pi*1/omega overflows, omega=1e-320"),
     ])
     def test_bad_model_parameters_exit_2(self, model, param, named, capsys):
         # i_s=0 would pass as converged with an inf residual, and the
         # scalar rhs of an rk4 guess or of simulate divides by C1, C2, L
-        # and R3 + R4: each command must refuse the record up front
+        # and R3 + R4: each command must refuse the record up front, in
+        # one error line; an overflowing period ran with inf or nan phases
         for command in (["solve", "--N", "5"],
                         ["solve", "--N", "5", "--guess", "rk4:1"],
                         ["simulate", "--cycles", "1", "--steps", "40"]):
             assert main(command + ["--model", model,
                                    "--param", *param.split()]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and named in err
+            assert named in _error_message(capsys)
 
 
 class TestSweep:

@@ -12,7 +12,6 @@ from limitcycle.models import (
     CircuitParams,
     LinearParams,
     PendulumParams,
-    _circuit_derivatives,
     _diode_omega,
     _diode_voltages,
     circuit_outputs,
@@ -23,7 +22,8 @@ from limitcycle.models import (
     pendulum_system,
     square_wave,
 )
-from limitcycle.system import CollocationProblem, jacobian
+from limitcycle.solver import newton_solve
+from limitcycle.system import CollocationProblem, RhsEvaluationError, jacobian
 from limitcycle.warmstart import TransientConfig, rk4_transient
 
 
@@ -173,7 +173,7 @@ class TestDiode:
         from scipy.special import wrightomega
 
         p = CircuitParams()
-        a, isr, log_isr_a = p.derived[:3]
+        a, isr, log_isr_a = p._diode[:3]
 
         def reference(x1, x3, vs):
             c = (vs - x1) + p.R2 * x3 + isr
@@ -214,11 +214,24 @@ def _diode_voltage_per_call(x1, x3, vs, p):
     oracle."""
     from scipy.special import wrightomega
 
-    a, isr, log_isr_a = p.derived[:3]
+    a, isr, log_isr_a = p._diode[:3]
     c = (vs - x1) + p.R2 * x3 + isr
     x = c / a + log_isr_a
     w = math.exp(x) if x < -50.0 else float(wrightomega(x))
     return c - a * w if w <= 1.0 else a * math.log(a * w / isr)
+
+
+def _circuit_derivatives(x1, x2, x3, vs, vd, e, p):
+    """(x1', x2', x3') from the source vs, the diode voltage vd and
+    e = exp(vd / (eta * V_T)), as the table rhs once took them from the
+    record's cached element combinations; kept as the per-state rhs's
+    bitwise oracle."""
+    rsum, r34 = p.R1 + p.R2, p.R3 + p.R4
+    dx1 = (vs - x1 - p.R1 * x3 - vd) / (p.C1 * rsum)
+    dx2 = (-x2 + p.R4 * x3) / (p.C2 * r34)
+    dx3 = (vs - p.R4 / r34 * x2 - p.R3 * p.R4 / r34 * x3 - vd
+           - p.i_s * p.R1 * (e - 1.0)) / p.L
+    return dx1, dx2, dx3
 
 
 class TestDiodeConstantsPerRecord:
@@ -243,7 +256,7 @@ class TestDiodeConstantsPerRecord:
         diode_voltage(1.0, 0.5, 5.6, first)
         second = dataclasses.replace(first, i_s=i_s, R2=R2)
         for p in (first, second, first):
-            a, isr, log_isr_a = p.derived[:3]
+            a, isr, log_isr_a = p._diode[:3]
             x1 = vs + p.R2 * x3 + isr - a * (x - log_isr_a)
             for _ in range(abs(ulps)):
                 x1 = math.nextafter(x1, math.copysign(math.inf, ulps))
@@ -331,16 +344,16 @@ class TestCircuit:
         # of the _diode_omega form, to the bit; x1 puts c on the drawn
         # side of the branch point w = 1, where c / a + ln(isr / a) = 1
         p = CircuitParams(A_m=A_m, R4=R4)
-        k = p.derived
+        a, isr, log_isr_a = p._diode[:3]
         vs = square_wave(t, A_m)
-        c = k.a * (1.0 - k.log_isr_a) + (margin if conducting else -margin)
-        x1 = vs + p.R2 * x3 + k.isr - c
+        c = a * (1.0 - log_isr_a) + (margin if conducting else -margin)
+        x1 = vs + p.R2 * x3 + isr - c
         c, w = _diode_omega(x1, x3, vs, p)
         w = float(w)
         assert (w > 1.0) == conducting
-        vd = c - k.a * w if w <= 1.0 else k.a * math.log(k.a * w / k.isr)
+        vd = c - a * w if w <= 1.0 else a * math.log(a * w / isr)
         want = _circuit_derivatives(x1, x2, x3, vs, vd,
-                                    math.exp(min(vd / k.a, 700.0)), p)
+                                    math.exp(min(vd / a, 700.0)), p)
         got = circuit_system(p).rhs([x1, x2, x3], t, p)
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
@@ -355,6 +368,22 @@ class TestCircuit:
         with pytest.raises(ValueError, match="bound to another"):
             system.rhs([1.0, 0.0, 0.0], 0.5, CircuitParams())
         assert len(system.rhs([1.0, 0.0, 0.0], 0.5, p)) == 3
+
+    def test_table_forms_refuse_another_params_record(self):
+        # newton_solve took a swapped record's circuit through the table
+        # forms, while the per-state rhs of RK4 and the jump node refused it
+        p = CircuitParams()
+        system = circuit_system(p)
+        stale = dataclasses.replace(system, params=CircuitParams(A_m=7.0))
+        table, t = np.zeros((3, 4)), np.linspace(-3.0, 3.0, 4)
+        for form in (stale.rhs_table, stale.jac):
+            with pytest.raises(ValueError, match="bound to another"):
+                form(table, t, stale.params)
+        assert system.rhs_table(table, t, p).shape == (3, 4)
+        assert system.jac(table, t, p).shape == (4, 3, 3)
+        prob = CollocationProblem.build(stale, 11)
+        with pytest.raises(RhsEvaluationError, match="bound to another"):
+            newton_solve(prob, np.zeros(prob.size))
 
     def test_outputs_formulas(self):
         p = CircuitParams()

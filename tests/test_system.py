@@ -719,6 +719,37 @@ class TestValidation:
             PeriodicSystem(dim=1, rhs=lambda x, t, p: x, omega=1.0,
                            subharmonic=0)
 
+    @pytest.mark.parametrize("omega,subharmonic,message", [
+        (math.inf, 1, "forcing frequency must be finite"),
+        (math.nan, 1, "forcing frequency must be finite"),
+        # 2*pi*s/omega overflows although omega is finite and > 0
+        (1e-320, 1, "response period"),
+        (1e-308, 2, "response period"),
+        (1.0, 1.5, "subharmonic order must be a positive integer"),
+        (1.0, 2.0, "subharmonic order must be a positive integer"),
+    ])
+    def test_non_finite_period_or_non_integer_order_rejected(
+            self, omega, subharmonic, message):
+        with pytest.raises(ValueError, match=message):
+            PeriodicSystem(dim=1, rhs=lambda x, t, p: x, omega=omega,
+                           subharmonic=subharmonic)
+
+    @pytest.mark.parametrize("returned", [1, 3])
+    def test_per_state_rhs_of_the_wrong_length_is_refused(self, returned):
+        # without a table form f is taken column by column: one value was
+        # written into both rows (a singular J), three failed to broadcast
+        # as an RhsEvaluationError, which a line search takes for a trial
+        # outside f's domain
+        sys = PeriodicSystem(dim=2, omega=1.0,
+                             rhs=lambda x, t, p: (x[1], -x[0], 0.0)[:returned])
+        prob = CollocationProblem.build(sys, 5)
+        message = f"rhs returned {returned} values, expected 2"
+        with pytest.raises(ValueError, match=message) as info:
+            residual(prob, np.arange(10.0))
+        assert not isinstance(info.value, RhsEvaluationError)
+        with pytest.raises(ValueError, match=message):
+            newton_solve(prob, np.arange(10.0))
+
     def test_even_grid_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             CollocationProblem.build(linear_system(1.0), 10)

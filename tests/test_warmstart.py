@@ -41,6 +41,17 @@ class TestTransientConfig:
             TransientConfig(cycles=1, steps_per_cycle=7,
                             initial_state=np.zeros(1))
 
+    @pytest.mark.parametrize("cycles,steps,named", [
+        (1.5, 64, "cycles"), (2.0, 64, "cycles"),
+        (1, 64.5, "steps_per_cycle"), (1, 64.0, "steps_per_cycle")])
+    def test_rejects_a_count_that_is_not_an_integer(self, cycles, steps,
+                                                    named):
+        # a float count, even 2.0, failed inside rk4_transient with
+        # numpy's TypeError
+        with pytest.raises(ValueError, match=f"^{named} must be an integer"):
+            TransientConfig(cycles=cycles, steps_per_cycle=steps,
+                            initial_state=np.zeros(1))
+
 
 class TestRk4Transient:
     def test_shapes_and_time_span(self):
