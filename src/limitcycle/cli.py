@@ -53,6 +53,7 @@ from .spectral import (
 )
 from .system import (
     CollocationProblem,
+    PeriodicSystem,
     RhsEvaluationError,
     _wrap_phase,
     flatten,
@@ -413,14 +414,10 @@ def cmd_interp(args) -> int:
         if name == "phase":
             out_cols.append(ts)
         elif name == "tau":
-            if omega <= 0.0:
-                raise ValueError("cannot rebuild tau: no frequency in header")
-            if not math.isfinite(omega):
-                raise ValueError(
-                    f"cannot rebuild tau: header omega {omega} is not finite")
-            if s < 1:
-                raise ValueError("cannot rebuild tau: header subharmonic "
-                                 f"{s} is not a positive integer")
+            try:  # the system's own rule for a response period
+                PeriodicSystem(1, None, omega, subharmonic=s)
+            except ValueError as exc:
+                raise ValueError(f"cannot rebuild tau: header {exc}") from None
             out_cols.append(s * ts / omega)
         else:
             out_cols.append(trig_interpolate(grid, values, ts))

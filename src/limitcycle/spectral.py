@@ -13,6 +13,7 @@ degree at most (N-1)/2.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -85,14 +86,14 @@ def equispaced_nodes(N: int) -> NodeGrid:
     -------
     NodeGrid
     """
-    if N < 3 or N % 2 == 0:
+    if not isinstance(N, numbers.Integral) or N < 3 or N % 2 == 0:
         raise ValueError(
             f"the periodic grid needs an odd number N >= 3 of points, got N={N}"
         )
     return NodeGrid(size=N, nodes=equispaced_phases(N))
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=4, typed=True)
 def diff_matrix_equispaced(N: int) -> DiffMatrix:
     """Closed-form trigonometric differentiation matrix on the equispaced grid.
 
@@ -100,9 +101,9 @@ def diff_matrix_equispaced(N: int) -> DiffMatrix:
     and the diagonal is zero.  The matrix is antisymmetric by construction
     (entries for j-k and k-j are built from exactly negated angles).
 
-    The result is cached for the last few N: a continuation sweep builds
-    a problem per parameter value on the same grid, and the matrix and its
-    grid are read-only, so every caller can share one instance.
+    The result is cached for the last few N: a sweep builds a problem per
+    parameter value on the same grid, and the matrix and its grid are
+    read-only, so every caller can share one.  Typed, so N=11.0 is refused.
     """
     grid = equispaced_nodes(N)
     idx = np.arange(N)

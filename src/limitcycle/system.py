@@ -24,6 +24,7 @@ wholly on one side, which would bias the mean by O(1/N).
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Any, Callable, Sequence
@@ -87,14 +88,14 @@ class PeriodicSystem:
     rhs_table: Callable[[np.ndarray, np.ndarray, Any], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"system dimension must be >= 1, got {self.dim}")
+        if not (isinstance(self.dim, numbers.Integral) and self.dim >= 1):
+            raise ValueError(f"dim must be a positive integer, got {self.dim}")
         omega, s = self.omega, self.subharmonic
         if not 0 < omega < np.inf:  # nan fails here too
             raise ValueError(f"forcing frequency must be finite and > 0, got {omega}")
         if not (isinstance(s, numbers.Integral) and s >= 1):
             raise ValueError(f"subharmonic order must be a positive integer, got {s}")
-        if not 2.0 * np.pi * s / omega < np.inf:
+        if not (s <= sys.float_info.max and 2.0 * np.pi * s / omega < np.inf):
             raise ValueError(f"response period 2*pi*{s}/omega overflows, omega={omega}")
 
 

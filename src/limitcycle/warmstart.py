@@ -231,9 +231,9 @@ def guess_near_pi(N: int, epsilon: float, harmonic: int = 1,
     subharmonic, so the pair approximates a genuine trajectory of the
     grid-phase equations.  epsilon = 0 returns the exact inverted state.
     """
-    if harmonic < 1:
-        raise ValueError(f"harmonic must be >= 1, got {harmonic}")
     grid = equispaced_nodes(N)
+    if not 1 <= harmonic <= N // 2:  # a higher one aliases on N nodes
+        raise ValueError(f"harmonic must be in 1..{N // 2} for N={N}, got {harmonic}")
     theta = np.pi + epsilon * np.sin(harmonic * grid.nodes)
     v = epsilon * omega * harmonic * np.cos(harmonic * grid.nodes) / subharmonic
     return flatten(np.vstack([theta, v]))

@@ -230,7 +230,7 @@ class TestSolve:
             ("sin:", "sin guess size ''"),
             ("sin:x", "sin guess size 'x'"),
             ("sin:0.8,y", "sin guess harmonic 'y'"),
-            ("sin:0.8,0", "harmonic must be >= 1, got 0"),
+            ("sin:0.8,0", "harmonic must be in 1..1 for N=3, got 0"),
             ("rk4:x", "rk4 guess cycles 'x'"),
             ("rk4:0", "cycles must be >= 1, got 0"),
             (f"file:{bad_row}", "data value 'abc'"),
@@ -698,7 +698,7 @@ class TestInterp:
             (no_columns, "lacks the columns header field"),
             (short, "data does not match its header"),
             (off_grid, "phases are not the equispaced nodes"),
-            (no_omega, "no frequency in header"),
+            (no_omega, "forcing frequency must be finite and > 0, got 0.0"),
         ]:
             assert main(["interp", "--input", str(path)]) == 2, path
             assert named in _error_message(capsys), path
@@ -706,12 +706,12 @@ class TestInterp:
         assert _error_message(capsys) == "points must be a positive integer"
 
     @pytest.mark.parametrize("fields, message", [
-        ("omega=nan", "header omega nan is not finite"),
-        ("omega=inf", "header omega inf is not finite"),
+        ("omega=nan", "header forcing frequency must be finite and > 0, got nan"),
+        ("omega=inf", "header forcing frequency must be finite and > 0, got inf"),
         ("omega=1\n# subharmonic=0",
-         "header subharmonic 0 is not a positive integer"),
+         "header subharmonic order must be a positive integer, got 0"),
         ("omega=1\n# subharmonic=-2",
-         "header subharmonic -2 is not a positive integer"),
+         "header subharmonic order must be a positive integer, got -2"),
     ], ids=["omega-nan", "omega-inf", "subharmonic-0", "subharmonic-minus-2"])
     def test_tau_from_a_bad_header_frequency_or_order_exits_2(
             self, tmp_path, capsys, fields, message):
@@ -740,6 +740,47 @@ class TestInterp:
             assert main(args) == 2, args
             assert _error_message(capsys) == (
                 "solution file data does not match its header")
+
+
+_HUGE = str(10**309)  # an integer beyond the largest float
+_PERIOD = "response period 2*pi*{}/omega overflows, omega={}"
+
+
+class TestHostileNumbers:
+    """Numbers that parse but that no float, grid or response period
+    holds: each escaped main as an OverflowError or wrote an inf tau
+    column with a RuntimeWarning (an error under pytest)."""
+
+    _INTERP = [("1", _HUGE), ("1e308", _HUGE), ("1e-320", _HUGE),
+               ("5e-324", _HUGE), ("1e-320", "1"), ("1e-320", "3"),
+               ("5e-324", "1"), ("5e-324", "3")]
+
+    @pytest.mark.parametrize("args,named", [
+        (["solve", "--model", "pendulum", "--N", "11",
+          "--subharmonic", _HUGE], _PERIOD.format(_HUGE, 17.5)),
+        (["simulate", "--model", "linear", "--cycles", "1", "--steps", "8",
+          "--subharmonic", _HUGE], _PERIOD.format(_HUGE, 1.0)),
+        (["solve", "--model", "pendulum", "--N", "11",
+          "--guess", f"sin:0.1,{_HUGE}"],
+         f"harmonic must be in 1..5 for N=11, got {_HUGE}"),
+    ] + [
+        (["interp", f"omega={omega}\n# subharmonic={s}"],
+         "cannot rebuild tau: header " + _PERIOD.format(s, float(omega)))
+        for omega, s in _INTERP
+    ], ids=["solve-subharmonic", "simulate-subharmonic", "sin-harmonic"] + [
+        f"interp-omega={omega}-s={'huge' if s == _HUGE else s}"
+        for omega, s in _INTERP])
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, args, named):
+        out = tmp_path / "out.csv"
+        if args[0] == "interp":
+            sol = tmp_path / "sol.csv"
+            sol.write_text(f"# N=3\n# {args[1]}\n# columns=phase,tau,x1\n"
+                           + "".join(f"{t:.17g},{t:.17g},1\n"
+                                     for t in equispaced_nodes(3).nodes))
+            args = ["interp", "--input", str(sol)]
+        assert main(args + ["--out", str(out)]) == 2
+        assert _error_message(capsys) == named
+        assert not out.exists()
 
 
 class TestSimulate:

@@ -1,4 +1,5 @@
-"""Smoke test: the experiment script runs and writes its CSV header."""
+"""Smoke test: the experiment script runs without a warning and writes
+its CSV header."""
 
 import os
 import subprocess
@@ -15,7 +16,7 @@ def _run(script, *args):
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
+        [sys.executable, "-W", "error", str(ROOT / "scripts" / script), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
 

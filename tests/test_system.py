@@ -725,6 +725,8 @@ class TestValidation:
         # 2*pi*s/omega overflows although omega is finite and > 0
         (1e-320, 1, "response period"),
         (1e-308, 2, "response period"),
+        # an order beyond the floats raised OverflowError in 2*pi*s
+        pytest.param(1.0, 10**309, "response period", id="1.0-huge-period"),
         (1.0, 1.5, "subharmonic order must be a positive integer"),
         (1.0, 2.0, "subharmonic order must be a positive integer"),
     ])
@@ -733,6 +735,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             PeriodicSystem(dim=1, rhs=lambda x, t, p: x, omega=omega,
                            subharmonic=subharmonic)
+
+    @pytest.mark.parametrize("dim", [1.5, 2.0])
+    def test_non_integer_dimension_rejected(self, dim):
+        # the problem size dim * N was 7.5, refused only by newton_solve
+        with pytest.raises(ValueError,
+                           match=f"dim must be a positive integer, got {dim}"):
+            PeriodicSystem(dim=dim, rhs=lambda x, t, p: x, omega=1.0)
 
     @pytest.mark.parametrize("returned", [1, 3])
     def test_per_state_rhs_of_the_wrong_length_is_refused(self, returned):
@@ -753,3 +762,11 @@ class TestValidation:
     def test_even_grid_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             CollocationProblem.build(linear_system(1.0), 10)
+
+    def test_float_node_count_rejected(self):
+        # N = 11.0 must not be served the cached N = 11 matrix: its
+        # problem raised TypeError in unflatten
+        CollocationProblem.build(linear_system(1.0), 11)
+        with pytest.raises(ValueError,
+                           match=r"odd number N >= 3 of points, got N=11\.0"):
+            CollocationProblem.build(linear_system(1.0), 11.0)

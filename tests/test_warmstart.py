@@ -394,6 +394,15 @@ class TestGuessNearPi:
         assert np.all(table[0] == np.pi)
         assert np.all(table[1] == 0.0)
 
+    @pytest.mark.parametrize("harmonic", [0, 6, 10**309], ids=["0", "6", "huge"])
+    def test_harmonic_the_grid_cannot_hold_is_refused(self, harmonic):
+        # 11 nodes resolve harmonics 1..5; a higher one aliases onto a
+        # lower one, and 10**309 overflowed as it became a float
+        assert guess_near_pi(11, 0.1, harmonic=5).shape == (22,)
+        with pytest.raises(ValueError, match=(
+                rf"harmonic must be in 1\.\.5 for N=11, got {harmonic}$")):
+            guess_near_pi(11, 0.1, harmonic=harmonic)
+
     def test_sinusoidal_deviation_and_consistent_velocity(self):
         grid = equispaced_nodes(11)
         table = unflatten(guess_near_pi(11, 0.3, harmonic=2, omega=17.5,
