@@ -4,8 +4,8 @@ Plain Newton with backtracking on the residual sup norm: the full step
 is halved until the norm decreases, down to a floor fraction; running
 out of damping or iterations is reported in the result, not raised.
 The linear solves are dense LU with partial pivoting, reused while cheap.
-On large grids J is factored in float32, which takes about half the time
-of float64, and a step is refined against it to a linear residual of tol/10.
+On large grids J is factored in float32, in about half the time of float64;
+a step refined against a kept factor stops at a linear residual of tol/10.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ _STEP_FRACTIONS = tuple(0.5**k for k in range(21))
 # refinement stops at a correction this small relative to the step: the
 # error left is below the cond(J) * eps (cond(J) ~ 1e4) of a fresh LU solve
 _REFINE_FLOOR = 1e-12
-# a float32 step stops refining at a linear residual of this share of tol
+# a refined step stops at a linear residual of this share of tol
 _ENOUGH = 0.1
 # from this many unknowns mN on, J is assembled and factored in float32:
 # below it the refinement sweeps cost about what the cheaper LU saves
@@ -88,13 +88,13 @@ def lu_solve(factor, b: np.ndarray) -> np.ndarray:
 
 def _solve(problem: CollocationProblem, factor, blocks: np.ndarray,
            b: np.ndarray, enough: float = 0.0) -> np.ndarray | None:
-    """x with J x = b to float64 accuracy, J having node blocks ``blocks``,
-    against ``factor`` = (lu, piv, plan, the blocks it was made from); None
-    when that would cost more than factoring J.  A float64 factor of these
-    very blocks solves directly, with one sweep against J after a Schur
-    solve (S's cond can exceed J's).  Any other, a float32 LU or one of an
-    earlier Jacobian, is refined against with float64 residuals; on a
-    float32 LU, only until max|b - J x| <= ``enough``."""
+    """x with J x = b, J having node blocks ``blocks``, against ``factor`` =
+    (lu, piv, plan, the blocks it was made from); None when that would cost
+    more than factoring J.  A float64 factor of these very blocks solves
+    directly, with one sweep against J after a Schur solve (S's cond can
+    exceed J's).  Any other, a float32 LU or one of an earlier Jacobian, is
+    refined against with float64 residuals until max|b - J x| <= ``enough``,
+    or with the default 0 to float64 accuracy."""
     lu, _, plan, made_from = factor
     if lu.dtype == np.float64 and blocks is made_from:
         x = lu_solve(factor, b)
@@ -108,7 +108,7 @@ def _solve(problem: CollocationProblem, factor, blocks: np.ndarray,
     last = float(np.max(np.abs(x)))
     for sweep in range(budget):
         r = b - jacobian_product(problem, blocks, x)
-        if lu.dtype == np.float32 and np.max(np.abs(r)) <= enough:
+        if np.max(np.abs(r)) <= enough:
             return x
         dx = lu_solve(factor, r)
         x += dx

@@ -88,7 +88,7 @@ class TestSweep:
     def test_period_two_branch_iterations_and_factorizations(self):
         # b = 181 down to 141 at a = 0.1, N = 101; starting each point
         # from the previous point's X instead takes 132 iterations and
-        # 88 factorizations
+        # 87 factorizations
         def family(b):
             params = PendulumParams(a=0.1, b=b, omega=17.5)
             return CollocationProblem.build(
@@ -99,8 +99,8 @@ class TestSweep:
         results = [r for _, r in br.points]
         assert br.status == "completed"
         assert len(results) == 41
-        assert sum(r.iterations for r in results[1:]) == 91
-        assert sum(r.factorizations for r in results) == 51
+        assert sum(r.iterations for r in results[1:]) == 92
+        assert sum(r.factorizations for r in results) == 50
 
     @pytest.mark.parametrize("a", [0.05, 0.1, 0.15])
     def test_period_two_branch_stops_where_it_collapses(self, a):

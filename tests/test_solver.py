@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
 from limitcycle import solver
-from limitcycle.continuation import SweepConfig, sweep
+from limitcycle.continuation import SweepConfig, extract_extrema, sweep
 from limitcycle.models import (
     CircuitParams,
     PendulumParams,
@@ -454,7 +454,7 @@ class TestOneSolveRoutine:
             pendulum_system(PendulumParams(a=0.1, b=181.0, omega=17.5),
                             subharmonic=2), 101)
         assert newton_solve(prob, guess_near_pi(101, 0.8, 1, 17.5, 2)).converged
-        assert solve_counts == {"lu_solve": 28, "dgetrs": 28, "sgetrs": 0}
+        assert solve_counts == {"lu_solve": 18, "dgetrs": 18, "sgetrs": 0}
 
 
 def _factor_at(problem, X, dtype):
@@ -535,9 +535,10 @@ class TestSolveToFloat64Accuracy:
 
 
 class TestRefineToTheNewtonTolerance:
-    # a float32 step stops refining at a linear residual of tol/10; the
-    # draws are the three of seeds 0-19 whose X moves the most (8.0e-12 to
-    # 9.3e-12 of max|X|), each from zeros and from a 3-cycle RK4 start
+    # a step refined against a kept factor, float32 or stale float64,
+    # stops at a linear residual of tol/10; the circuit draws are the three
+    # of seeds 0-19 whose X moves the most (8.0e-12 to 9.3e-12 of max|X|),
+    # each from zeros and from a 3-cycle RK4 start
     @pytest.mark.parametrize("seed", [7, 12, 14])
     @pytest.mark.parametrize("N", [101, 251])
     def test_stop_costs_no_iteration_and_no_lu(self, monkeypatch, seed, N):
@@ -559,16 +560,67 @@ class TestRefineToTheNewtonTolerance:
             np.testing.assert_allclose(r.X, full.X, rtol=0,
                                        atol=1e-10 * np.max(np.abs(full.X)))
 
-    def test_float64_factors_ignore_enough(self, period_two):
-        # a stale float64 factor, as the pendulum keeps, refines to the
-        # floor whatever the linear residual it is offered
+    @pytest.mark.parametrize("a", [0.05, 0.1, 0.15])
+    def test_period_two_stop_costs_no_lu_and_no_accuracy(self, monkeypatch,
+                                                         solve_counts, a):
+        # the pendulum keeps stale float64 factors, which stop at tol/10
+        # as a float32 one does: the sweep b = 181 down to 141 makes
+        # fewer solves, and its extrema move by at most 1.3e-9
+        def family(b):
+            return CollocationProblem.build(pendulum_system(
+                PendulumParams(a=a, b=b, omega=17.5), subharmonic=2), 101)
+
+        def run():
+            solve_counts["lu_solve"] = 0
+            br = sweep(family, guess_near_pi(101, 0.8, 1, 17.5, 2),
+                       SweepConfig("b", 181.0, 141.0, 1.0))
+            results = [r for _, r in br.points]
+            assert br.status == "completed" and len(results) == 41
+            assert all(r.residual_norm <= r.tol for r in results)
+            extrema = extract_extrema(family(181.0).grid,
+                                      np.array([r.X for r in results]), 0)
+            return (solve_counts["lu_solve"], extrema,
+                    sum(r.factorizations for r in results))
+
+        solves, extrema, factorizations = run()
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_ENOUGH", 0.0)
+            full_solves, full_extrema, full_factorizations = run()
+        assert solves < full_solves
+        assert factorizations <= full_factorizations
+        np.testing.assert_allclose(extrema, full_extrema, rtol=0, atol=1e-8)
+
+    def test_stale_float64_factor_stops_at_enough(self, period_two,
+                                                  solve_counts):
+        # a stale float64 factor, as the pendulum keeps, stops refining at
+        # a linear residual of ``enough``, as a float32 one does; at 0 it
+        # refines until the correction falls below the floor
         problem, X = period_two
         factor = _factor_at(problem, X * (1 + 1e-3), np.float64)
         blocks, b = jacobian_blocks(problem, X), -residual(problem, X)
-        x = solver._solve(problem, factor, blocks, b)
-        assert x is not None
-        assert solver._solve(problem, factor, blocks, b,
-                             enough=1e300).tobytes() == x.tobytes()
+        first = solver.lu_solve(factor, b)
+        solve_counts["lu_solve"] = 0
+        x = solver._solve(problem, factor, blocks, b, enough=1e300)
+        assert solve_counts["lu_solve"] == 1
+        assert x.tobytes() == first.tobytes()
+        def linear_residual(x):
+            return np.max(np.abs(b - jacobian_product(problem, blocks, x)))
+
+        enough = 1e-6 * linear_residual(first)
+        x = solver._solve(problem, factor, blocks, b, enough=enough)
+        assert linear_residual(x) <= enough
+        want = first.copy()
+        for _ in range(problem.size // 25):  # _solve's sweep budget
+            dx = solver.lu_solve(
+                factor, b - jacobian_product(problem, blocks, want))
+            want += dx
+            floor = solver._REFINE_FLOOR * np.max(np.abs(want))
+            if np.max(np.abs(dx)) <= floor:
+                break
+        else:
+            pytest.fail("the floor refinement did not end within the budget")
+        assert solver._solve(problem, factor, blocks, b).tobytes() == \
+            want.tobytes()
 
 
 class TestFactorRoutine:
